@@ -11,6 +11,7 @@
 #include "bench_common.hpp"
 
 #include "stores/efactory.hpp"
+#include "stores/world.hpp"
 
 namespace efac::bench {
 namespace {
@@ -31,12 +32,10 @@ workload::RunOptions base_options(Mix mix) {
 workload::RunResult run_with(const workload::RunOptions& options,
                              stores::StoreConfig config,
                              const std::string& sink_prefix) {
-  auto sim = std::make_unique<sim::Simulator>();
-  stores::Cluster cluster =
-      stores::make_cluster(*sim, SystemKind::kEFactory, config);
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{SystemKind::kEFactory, config};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   metrics_sink().merge_from(result.metrics, sink_prefix);
-  sim.reset();
   return result;
 }
 
@@ -100,15 +99,13 @@ void worker_ablation(benchmark::State& state, SystemKind kind,
   for (auto _ : state) {
     stores::StoreConfig config = workload::sized_store_config(options);
     config.server_workers = workers;
-    auto sim = std::make_unique<sim::Simulator>();
-    stores::Cluster cluster = stores::make_cluster(*sim, kind, config);
+    stores::World world{kind, config};
     const workload::RunResult result =
-        workload::run_workload(*sim, cluster, options);
+        workload::run_workload(world.sim, world.cluster, options);
     metrics_sink().merge_from(
         result.metrics, "ablation/workers/" +
                             std::string{stores::to_string(kind)} + "/" +
                             std::to_string(workers) + "/");
-    sim.reset();
     state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
     state.counters["Mops"] = result.mops;
     Summary::instance().add(
@@ -138,13 +135,12 @@ void crc_speed_ablation(benchmark::State& state, double per_byte_ns) {
     auto run_variant = [&](stores::SystemKind kind) {
       stores::StoreConfig config = workload::sized_store_config(options);
       config.crc.per_byte_ns = per_byte_ns;
-      auto sim = std::make_unique<sim::Simulator>();
-      stores::Cluster cluster = stores::make_cluster(*sim, kind, config);
-      workload::RunResult r = workload::run_workload(*sim, cluster, options);
+      stores::World world{kind, config};
+      workload::RunResult r =
+          workload::run_workload(world.sim, world.cluster, options);
       metrics_sink().merge_from(
           r.metrics, "ablation/crc_rate/" + TextTable::num(per_byte_ns, 2) +
                          "/" + std::string{stores::to_string(kind)} + "/");
-      sim.reset();
       return r;
     };
     const workload::RunResult with_hr =

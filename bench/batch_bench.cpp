@@ -26,7 +26,7 @@
 #include "common/assert.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::bench {
@@ -101,24 +101,24 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   sizing.clients = 1;
   sizing.ops_per_client = total_ops();
 
-  sim::Simulator sim;
   stores::StoreConfig config = workload::sized_store_config(sizing);
   maybe_enable_trace(config);
-  stores::Cluster cluster = stores::make_cluster(sim, kind, config);
-  cluster.start();
+  stores::World world{kind, config};
+  world.start();
 
   stores::ClientOptions options;
   options.size_hint = {sizing.workload.key_len, value_len};
-  auto client = cluster.make_client(options);
+  stores::KvClient& client = world.make_client(options);
   const workload::Workload wl{sizing.workload};
 
-  const stores::ServerStats before = cluster.store->server_stats();
-  const SimTime start = sim.now();
+  const stores::ServerStats before = world.store().server_stats();
+  const SimTime start = world.sim.now();
   SimTime end = start;
   bool done = false;
-  sim.spawn(drive_batches(*client, wl, total_ops(), batch, sim, &end, &done));
-  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
-  const stores::ServerStats after = cluster.store->server_stats();
+  world.sim.spawn(
+      drive_batches(client, wl, total_ops(), batch, world.sim, &end, &done));
+  while (!done) world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
+  const stores::ServerStats after = world.store().server_stats();
 
   Point p;
   const double elapsed_us =
@@ -137,8 +137,8 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   sink.gauge(prefix + "alloc_rpcs_per_op").set(p.alloc_rpcs_per_op);
   sink.counter(prefix + "server.requests") += p.server_requests;
   sink.counter(prefix + "server.allocs") += p.server_allocs;
-  sink.merge_from(client->metrics(), prefix);
-  maybe_adopt_trace(*cluster.store, prefix);
+  sink.merge_from(client.metrics(), prefix);
+  maybe_adopt_trace(world.store(), prefix);
   return p;
 }
 

@@ -8,13 +8,13 @@
 
 #include "metrics/telemetry.hpp"
 #include "stores/efactory.hpp"
+#include "stores/world.hpp"
 #include "trace/chrome.hpp"
 
 namespace efac::bench {
 
 namespace {
 
-using stores::Cluster;
 using stores::SystemKind;
 using workload::Workload;
 using workload::WorkloadConfig;
@@ -103,15 +103,15 @@ void maybe_adopt_telemetry(stores::StoreBase& store, std::string label) {
 
 Histogram measure_put_latency(SystemKind kind, std::size_t value_len,
                               std::size_t ops, std::uint64_t seed) {
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config = latency_config(value_len, ops, seed);
   maybe_enable_trace(config);
   maybe_enable_telemetry(config);
-  Cluster cluster = stores::make_cluster(*sim, kind, config);
-  cluster.start();
+  stores::World world{kind, config};
+  sim::Simulator& sim = world.sim;
+  world.start();
   stores::ClientOptions copts;
   copts.size_hint = {kKeyLen, value_len};
-  auto client = cluster.make_client(copts);
+  stores::KvClient& client = world.make_client(copts);
 
   Workload workload{WorkloadConfig{.mix = workload::Mix::kUpdateOnly,
                                    .key_count = 64,
@@ -120,8 +120,8 @@ Histogram measure_put_latency(SystemKind kind, std::size_t value_len,
                                    .seed = seed}};
   Histogram hist;
   bool done = false;
-  sim->spawn([](sim::Simulator& s, stores::KvClient& c, Workload& w,
-                std::size_t n, Histogram* out, bool* flag) -> sim::Task<void> {
+  sim.spawn([](sim::Simulator& s, stores::KvClient& c, Workload& w,
+               std::size_t n, Histogram* out, bool* flag) -> sim::Task<void> {
     constexpr std::size_t kWarmup = 100;
     for (std::size_t i = 0; i < n + kWarmup; ++i) {
       const std::uint64_t key = i % 64;
@@ -133,28 +133,27 @@ Histogram measure_put_latency(SystemKind kind, std::size_t value_len,
       if (i >= kWarmup) out->record(s.now() - start);
     }
     *flag = true;
-  }(*sim, *client, workload, ops, &hist, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
+  }(sim, client, workload, ops, &hist, &done));
+  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
   const std::string prefix = point_prefix("put", kind, value_len);
-  metrics_sink().merge_from(client->metrics(), prefix);
-  metrics_sink().merge_from(cluster.store->metrics(), prefix);
-  maybe_adopt_trace(*cluster.store, prefix);
-  maybe_adopt_telemetry(*cluster.store, prefix);
-  sim.reset();
+  metrics_sink().merge_from(client.metrics(), prefix);
+  metrics_sink().merge_from(world.store().metrics(), prefix);
+  maybe_adopt_trace(world.store(), prefix);
+  maybe_adopt_telemetry(world.store(), prefix);
   return hist;
 }
 
 Histogram measure_get_latency(SystemKind kind, std::size_t value_len,
                               std::size_t ops, std::uint64_t seed) {
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config = latency_config(value_len, 512, seed);
   maybe_enable_trace(config);
   maybe_enable_telemetry(config);
-  Cluster cluster = stores::make_cluster(*sim, kind, config);
-  cluster.start();
+  stores::World world{kind, config};
+  sim::Simulator& sim = world.sim;
+  world.start();
   stores::ClientOptions copts;
   copts.size_hint = {kKeyLen, value_len};
-  auto client = cluster.make_client(copts);
+  stores::KvClient& client = world.make_client(copts);
 
   Workload workload{WorkloadConfig{.mix = workload::Mix::kReadOnly,
                                    .key_count = 64,
@@ -163,27 +162,27 @@ Histogram measure_get_latency(SystemKind kind, std::size_t value_len,
                                    .seed = seed}};
   // Load, then settle so background verification completes.
   bool loaded = false;
-  sim->spawn([](stores::KvClient& c, Workload& w, bool* flag)
-                 -> sim::Task<void> {
+  sim.spawn([](stores::KvClient& c, Workload& w, bool* flag)
+                -> sim::Task<void> {
     for (std::uint64_t k = 0; k < 64; ++k) {
       const Status status = co_await c.put(w.key_at(k), w.value_for(k, 0));
       EFAC_CHECK(status.is_ok());
     }
     *flag = true;
-  }(*client, workload, &loaded));
-  while (!loaded) sim->run_until(sim->now() + timeconst::kMillisecond);
+  }(client, workload, &loaded));
+  while (!loaded) sim.run_until(sim.now() + timeconst::kMillisecond);
   if (auto* efactory =
-          dynamic_cast<stores::EFactoryStore*>(cluster.store.get())) {
+          dynamic_cast<stores::EFactoryStore*>(&world.store())) {
     for (int i = 0; i < 1000 && efactory->verify_queue_depth() > 0; ++i) {
-      sim->run_until(sim->now() + 100 * timeconst::kMicrosecond);
+      sim.run_until(sim.now() + 100 * timeconst::kMicrosecond);
     }
   }
-  sim->run_until(sim->now() + timeconst::kMillisecond);
+  sim.run_until(sim.now() + timeconst::kMillisecond);
 
   Histogram hist;
   bool done = false;
-  sim->spawn([](sim::Simulator& s, stores::KvClient& c, Workload& w,
-                std::size_t n, Histogram* out, bool* flag) -> sim::Task<void> {
+  sim.spawn([](sim::Simulator& s, stores::KvClient& c, Workload& w,
+               std::size_t n, Histogram* out, bool* flag) -> sim::Task<void> {
     Rng rng{0xBEEF};
     constexpr std::size_t kWarmup = 100;
     for (std::size_t i = 0; i < n + kWarmup; ++i) {
@@ -195,14 +194,13 @@ Histogram measure_get_latency(SystemKind kind, std::size_t value_len,
       if (i >= kWarmup) out->record(s.now() - start);
     }
     *flag = true;
-  }(*sim, *client, workload, ops, &hist, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
+  }(sim, client, workload, ops, &hist, &done));
+  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
   const std::string prefix = point_prefix("get", kind, value_len);
-  metrics_sink().merge_from(client->metrics(), prefix);
-  metrics_sink().merge_from(cluster.store->metrics(), prefix);
-  maybe_adopt_trace(*cluster.store, prefix);
-  maybe_adopt_telemetry(*cluster.store, prefix);
-  sim.reset();
+  metrics_sink().merge_from(client.metrics(), prefix);
+  metrics_sink().merge_from(world.store().metrics(), prefix);
+  maybe_adopt_trace(world.store(), prefix);
+  maybe_adopt_telemetry(world.store(), prefix);
   return hist;
 }
 
@@ -223,12 +221,12 @@ workload::RunResult throughput_run(SystemKind kind, workload::Mix mix,
   options.batch = batch_size();
   options.client = std::move(client);
 
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config = workload::sized_store_config(options);
   maybe_enable_trace(config);
   maybe_enable_telemetry(config);
-  Cluster cluster = stores::make_cluster(*sim, kind, config);
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{kind, config};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   std::string label = "run/";
   label += workload::to_string(mix);
   label += "/";
@@ -236,9 +234,8 @@ workload::RunResult throughput_run(SystemKind kind, workload::Mix mix,
   label += "/";
   label += size_label(value_len);
   label += "/";
-  maybe_adopt_trace(*cluster.store, label);
-  maybe_adopt_telemetry(*cluster.store, std::move(label));
-  sim.reset();
+  maybe_adopt_trace(world.store(), label);
+  maybe_adopt_telemetry(world.store(), std::move(label));
   return result;
 }
 
@@ -262,15 +259,14 @@ workload::RunResult sharded_throughput_run(SystemKind kind,
   options.ops_per_client = ops_per_client;
   options.batch = batch_size();
 
-  auto sim = std::make_unique<sim::Simulator>();
   stores::ClusterConfig cluster_config;
   cluster_config.num_shards = shards;
   cluster_config.store = workload::sized_store_config(options);
   maybe_enable_trace(cluster_config.store);
   maybe_enable_telemetry(cluster_config.store);
-  stores::ShardedCluster cluster =
-      stores::make_sharded_cluster(*sim, kind, std::move(cluster_config));
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{kind, std::move(cluster_config)};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   if (trace_requested() || telemetry_requested()) {
     std::string label = "shard/";
     label += workload::to_string(mix);
@@ -279,13 +275,12 @@ workload::RunResult sharded_throughput_run(SystemKind kind,
     label += "/shards:";
     label += std::to_string(shards);
     label += "/";
-    for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
-      maybe_adopt_trace(cluster.store(s), label + "s" + std::to_string(s));
-      maybe_adopt_telemetry(cluster.store(s),
+    for (std::size_t s = 0; s < world.cluster.num_shards(); ++s) {
+      maybe_adopt_trace(world.store(s), label + "s" + std::to_string(s));
+      maybe_adopt_telemetry(world.store(s),
                             label + "s" + std::to_string(s));
     }
   }
-  sim.reset();
   return result;
 }
 

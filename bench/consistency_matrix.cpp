@@ -20,6 +20,7 @@
 #include <map>
 
 #include "stores/efactory.hpp"
+#include "stores/world.hpp"
 
 namespace efac::bench {
 namespace {
@@ -54,35 +55,34 @@ struct MatrixRow {
 MatrixRow run_trials(SystemKind kind) {
   MatrixRow row;
   for (int trial = 0; trial < kTrials; ++trial) {
-    auto sim = std::make_unique<sim::Simulator>();
     stores::StoreConfig config;
     config.pool_bytes = 4 * sizeconst::kMiB;
     config.hash_buckets = 1u << 12;
     config.seed = 0xC0 + static_cast<std::uint64_t>(trial);
     config.crash_policy.eviction_probability = 0.5;
-    stores::Cluster cluster = stores::make_cluster(*sim, kind, config);
-    cluster.start();
+    stores::World world{kind, config};
+    world.start();
     stores::ClientOptions hinted;
     hinted.size_hint = {32, kVlen};
-    auto client = cluster.make_client(hinted);
+    stores::KvClient& client = world.make_client(hinted);
     workload::Workload wl{workload::WorkloadConfig{
         .key_count = kKeys, .key_len = 32, .value_len = kVlen}};
 
     std::map<int, int> acked;
-    sim->spawn([](stores::KvClient& c, workload::Workload& w,
-                  std::map<int, int>* out) -> sim::Task<void> {
+    world.sim.spawn([](stores::KvClient& c, workload::Workload& w,
+                       std::map<int, int>* out) -> sim::Task<void> {
       for (int v = 1; v < 40; ++v) {
         for (int k = 0; k < kKeys; ++k) {
           const Status s = co_await c.put(w.key_at(k), tagged_value(k, v));
           if (s.is_ok()) (*out)[k] = v;
         }
       }
-    }(*client, wl, &acked));
-    sim->run_until(20'000 + static_cast<SimTime>(trial) * 43'331);
-    cluster.store->crash();
+    }(client, wl, &acked));
+    world.sim.run_until(20'000 + static_cast<SimTime>(trial) * 43'331);
+    world.store().crash();
 
     for (int k = 0; k < kKeys; ++k) {
-      const Expected<Bytes> got = cluster.store->recover_get(wl.key_at(k));
+      const Expected<Bytes> got = world.store().recover_get(wl.key_at(k));
       if (!got.has_value()) {
         ++row.lost;
       } else if (got->size() != kVlen) {
@@ -110,9 +110,8 @@ MatrixRow run_trials(SystemKind kind) {
     std::string prefix = "consistency/";
     prefix += stores::to_string(kind);
     prefix += "/";
-    metrics_sink().merge_from(client->metrics(), prefix);
-    metrics_sink().merge_from(cluster.store->metrics(), prefix);
-    sim.reset();
+    metrics_sink().merge_from(client.metrics(), prefix);
+    metrics_sink().merge_from(world.store().metrics(), prefix);
   }
   return row;
 }

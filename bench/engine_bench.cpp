@@ -21,7 +21,7 @@
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 
 namespace efac::bench {
 namespace {
@@ -173,18 +173,16 @@ void fig9_style(benchmark::State& state) {
   options.ops_per_client = g_smoke ? 50 : 400;
 
   for (auto _ : state) {
-    sim::Simulator sim;
     stores::StoreConfig config = workload::sized_store_config(options);
     maybe_enable_trace(config);
-    stores::Cluster cluster = stores::make_cluster(
-        sim, stores::SystemKind::kEFactory, config);
+    stores::World world{stores::SystemKind::kEFactory, config};
     const auto start = std::chrono::steady_clock::now();
     const workload::RunResult result =
-        workload::run_workload(sim, cluster, options);
-    maybe_adopt_trace(*cluster.store, "engine/fig9_style/");
+        workload::run_workload(world.sim, world.cluster, options);
+    maybe_adopt_trace(world.store(), "engine/fig9_style/");
     const double secs = wall_seconds(start);
     const double events_per_sec =
-        static_cast<double>(sim.events_processed()) / secs;
+        static_cast<double>(world.sim.events_processed()) / secs;
 
     state.SetIterationTime(secs);
     state.counters["wall_ms"] = secs * 1e3;

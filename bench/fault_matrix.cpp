@@ -36,6 +36,7 @@
 #include "common/assert.hpp"
 #include "fault/fault.hpp"
 #include "stores/efactory.hpp"
+#include "stores/world.hpp"
 
 namespace efac::bench {
 namespace {
@@ -160,7 +161,6 @@ sim::Task<void> writer(stores::KvClient& client, workload::Workload& wl,
 TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
                      int trial) {
   TrialTally tally;
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config;
   config.pool_bytes = 8 * sizeconst::kMiB;
   config.hash_buckets = 1u << 12;
@@ -200,41 +200,37 @@ TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
     config.object_timeout_ns = 40 * timeconst::kMicrosecond;
   }
 
-  stores::Cluster cluster = stores::make_cluster(*sim, kind, config);
-  cluster.start();
+  stores::World world{kind, config};
+  world.start();
   options.size_hint = {kKlen, kVlen};
-  auto client = cluster.make_client(options);
+  stores::KvClient& client = world.make_client(options);
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = kKeys, .key_len = kKlen, .value_len = kVlen}};
 
   std::map<int, int> acked;
   std::map<int, int> tried;
   bool stop = false;
-  sim->spawn(writer(*client, wl, 1, 60, &acked, &tried, &stop));
+  world.sim.spawn(writer(client, wl, 1, 60, &acked, &tried, &stop));
 
-  std::unique_ptr<stores::KvClient> client2;
+  stores::KvClient* client2 = nullptr;
   std::map<int, int> acked2;
   if (plan.crash_at_ns > 0) {
-    sim->run_until(plan.crash_at_ns);
+    world.sim.run_until(plan.crash_at_ns);
     stop = true;
-    cluster.store->crash();
-    const bool resumed = cluster.store->restart();
+    world.store().crash();
+    const bool resumed = world.store().restart();
     if (plan.restart && resumed) {
       // Service is back: a fresh client drives a second load phase whose
       // versions continue above phase 1, then the trial ends in a second,
       // final power failure.
-      client2 = cluster.make_client(options);
+      client2 = &world.make_client(options);
       bool stop2 = false;
-      sim->spawn(writer(*client2, wl, 100, 140, &acked2, &tried, &stop2));
-      sim->run_until(plan.crash_at_ns + 300 * timeconst::kMicrosecond);
+      world.sim.spawn(writer(*client2, wl, 100, 140, &acked2, &tried, &stop2));
+      world.sim.run_until(plan.crash_at_ns + 300 * timeconst::kMicrosecond);
       stop2 = true;
-      sim->run_until(plan.crash_at_ns + 500 * timeconst::kMicrosecond);
-      cluster.store->crash();
-      for (const auto& [k, v] : acked2) {
-        static_cast<void>(k);
-        static_cast<void>(v);
-        ++tally.phase2_acked;
-      }
+      world.sim.run_until(plan.crash_at_ns + 500 * timeconst::kMicrosecond);
+      world.store().crash();
+      tally.phase2_acked = acked2.size();
       for (const auto& [k, v] : acked2) acked[k] = v;
     } else if (plan.restart && !resumed) {
       // No online recovery procedure: classification happens on the
@@ -247,15 +243,15 @@ TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
     const SimTime horizon =
         450 * timeconst::kMicrosecond +
         static_cast<SimTime>(trial) * 37 * timeconst::kMicrosecond;
-    sim->run_until(horizon);
+    world.sim.run_until(horizon);
     stop = true;
-    sim->run_until(horizon + 200 * timeconst::kMicrosecond);
-    cluster.store->crash();
+    world.sim.run_until(horizon + 200 * timeconst::kMicrosecond);
+    world.store().crash();
   }
 
   // ------------------------------------------------ recovery + verdicts
   for (int k = 0; k < kKeys; ++k) {
-    const Expected<Bytes> got = cluster.store->recover_get(wl.key_at(k));
+    const Expected<Bytes> got = world.store().recover_get(wl.key_at(k));
     if (!got.has_value()) {
       ++tally.lost;
       if (durable_at_ack(kind) && !plan.compromises_durability &&
@@ -293,7 +289,7 @@ TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
     }
   }
 
-  if (analysis::Checker* checker = cluster.store->checker();
+  if (analysis::Checker* checker = world.store().checker();
       checker != nullptr) {
     const std::uint64_t flagged =
         checker->unguarded_races() + checker->durability_violations();
@@ -305,25 +301,25 @@ TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
     }
   }
 
-  const stores::ClientStats cs = client->stats();
+  const stores::ClientStats cs = client.stats();
   tally.retries = cs.retries;
   tally.giveups = cs.giveups;
   tally.gets_rpc_path = cs.gets_rpc_path;
-  if (client2) {
+  if (client2 != nullptr) {
     tally.retries += client2->stats().retries;
     tally.giveups += client2->stats().giveups;
   }
-  tally.bg_timeouts = cluster.store->server_stats().bg_timeouts;
+  tally.bg_timeouts = world.store().server_stats().bg_timeouts;
 
   std::string prefix = "fault/";
   prefix += plan.name;
   prefix += "/";
   prefix += stores::to_string(kind);
   prefix += "/";
-  metrics_sink().merge_from(client->metrics(), prefix);
-  if (client2) metrics_sink().merge_from(client2->metrics(), prefix);
-  metrics_sink().merge_from(cluster.store->metrics(), prefix);
-  maybe_adopt_trace(*cluster.store, prefix + "trial" + std::to_string(trial));
+  metrics_sink().merge_from(client.metrics(), prefix);
+  if (client2 != nullptr) metrics_sink().merge_from(client2->metrics(), prefix);
+  metrics_sink().merge_from(world.store().metrics(), prefix);
+  maybe_adopt_trace(world.store(), prefix + "trial" + std::to_string(trial));
   return tally;
 }
 

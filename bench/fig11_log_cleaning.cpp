@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 
 #include "stores/efactory.hpp"
+#include "stores/world.hpp"
 
 namespace efac::bench {
 namespace {
@@ -33,39 +34,36 @@ CleaningPoint run_point(Mix mix, bool with_cleaning) {
   options.clients = kClients;
   options.ops_per_client = 1500;
 
-  auto sim = std::make_unique<sim::Simulator>();
   // Ample pool for both variants; the "with cleaning" variant keeps
   // back-to-back forced rounds running across the measured phase (what the
   // paper measures: request latency WHILE cleaning is in progress).
   stores::StoreConfig config = workload::sized_store_config(options);
-  stores::Cluster cluster =
-      stores::make_cluster(*sim, SystemKind::kEFactory, config);
-  auto* store = dynamic_cast<stores::EFactoryStore*>(cluster.store.get());
+  stores::World world{SystemKind::kEFactory, config};
+  auto& store = dynamic_cast<stores::EFactoryStore&>(world.store());
 
   if (with_cleaning) {
-    sim->spawn([](sim::Simulator& s,
-                  stores::EFactoryStore& st) -> sim::Task<void> {
+    world.sim.spawn([](sim::Simulator& s,
+                       stores::EFactoryStore& st) -> sim::Task<void> {
       for (;;) {
         st.force_log_cleaning();  // no-op while a round is active
         co_await sim::delay(s, 50 * timeconst::kMicrosecond);
       }
-    }(*sim, *store));
+    }(world.sim, store));
   }
 
-  const workload::RunResult result = workload::run_workload(*sim, cluster,
-                                                            options);
+  const workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   EFAC_CHECK_MSG(result.put_failures == 0 && result.get_failures == 0,
                  "fig11 run had failing ops: puts=" << result.put_failures
                                                     << " gets="
                                                     << result.get_failures);
   CleaningPoint point;
   point.mean_us = result.mean_latency_us();
-  point.cleanings = store->server_stats().cleanings;
+  point.cleanings = store.server_stats().cleanings;
   std::string prefix = "fig11/";
   prefix += workload::to_string(mix);
   prefix += with_cleaning ? "/cleaning/" : "/baseline/";
   metrics_sink().merge_from(result.metrics, prefix);
-  sim.reset();
   return point;
 }
 

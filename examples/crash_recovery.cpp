@@ -6,8 +6,7 @@
 //   $ ./examples/crash_recovery
 #include <cstdio>
 
-#include "stores/baselines.hpp"
-#include "stores/efactory.hpp"
+#include "stores/world.hpp"
 #include "workload/ycsb.hpp"
 
 using namespace efac;  // NOLINT: example brevity
@@ -34,8 +33,8 @@ sim::Task<void> writer(stores::KvClient& client, workload::Workload& wl) {
   }
 }
 
-template <typename Store>
-void report(const char* name, Store& store, workload::Workload& wl) {
+void report(const char* name, stores::StoreBase& store,
+            workload::Workload& wl) {
   int intact = 0, lost = 0;
   for (int k = 0; k < kKeys; ++k) {
     const Expected<Bytes> got = store.recover_get(wl.key_at(k));
@@ -54,6 +53,22 @@ void report(const char* name, Store& store, workload::Workload& wl) {
   std::printf("%s: %d keys recovered, %d lost\n\n", name, intact, lost);
 }
 
+/// Run the write burst against `kind`, power-fail it at `crash_at`, and
+/// report what recovery finds.
+void crash_and_report(stores::SystemKind kind, const char* heading,
+                      workload::Workload& wl, SimTime crash_at,
+                      const nvm::CrashPolicy& policy) {
+  stores::World world{kind, stores::StoreConfig{}};
+  world.start();
+  stores::ClientOptions copts;
+  copts.size_hint = {32, kValueLen};
+  world.sim.spawn(writer(world.make_client(copts), wl));
+  world.sim.run_until(crash_at);
+  world.store().arena().crash(policy);
+  std::printf("%s", heading);
+  report(stores::to_string(kind).data(), world.store(), wl);
+}
+
 }  // namespace
 
 int main() {
@@ -66,33 +81,13 @@ int main() {
   std::printf("crashing both systems at t=%.0f us, mid write burst\n\n",
               static_cast<double>(crash_at) / 1000.0);
 
-  {
-    sim::Simulator sim;
-    stores::EFactoryStore store{sim};
-    store.start();
-    stores::ClientOptions copts;
-    copts.size_hint = {32, kValueLen};
-    auto client = store.make_client(copts);
-    sim.spawn(writer(*client, wl));
-    sim.run_until(crash_at);
-    store.arena().crash(nothing_survives);
-    std::printf("eFactory after crash (multi-version list recovery):\n");
-    report("eFactory", store, wl);
-  }
-  {
-    sim::Simulator sim;
-    stores::ErdaStore store{sim};
-    store.start();
-    stores::ClientOptions copts;
-    copts.size_hint = {32, kValueLen};
-    auto client = store.make_client(copts);
-    sim.spawn(writer(*client, wl));
-    sim.run_until(crash_at);
-    store.arena().crash(nothing_survives);
-    std::printf("Erda after the same crash (two-slot atomic region, no "
-                "explicit persistence):\n");
-    report("Erda", store, wl);
-  }
+  crash_and_report(stores::SystemKind::kEFactory,
+                   "eFactory after crash (multi-version list recovery):\n",
+                   wl, crash_at, nothing_survives);
+  crash_and_report(stores::SystemKind::kErda,
+                   "Erda after the same crash (two-slot atomic region, no "
+                   "explicit persistence):\n",
+                   wl, crash_at, nothing_survives);
   std::printf(
       "eFactory's background thread persists verified versions and the\n"
       "version list reaches past torn heads; Erda depends on natural cache\n"

@@ -11,7 +11,7 @@
 // software.
 #include <cstdio>
 
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "common/histogram.hpp"
 #include "workload/ycsb.hpp"
 
@@ -20,22 +20,21 @@ using namespace efac;  // NOLINT: example brevity
 namespace {
 
 double median_put_latency_us(stores::SystemKind kind, std::size_t vlen) {
-  sim::Simulator sim;
   stores::StoreConfig config;
   config.pool_bytes = 8 * sizeconst::kMiB;
-  stores::Cluster cluster = stores::make_cluster(sim, kind, config);
-  cluster.start();
+  stores::World world{kind, config};
+  world.start();
   stores::ClientOptions copts;
   copts.size_hint = {32, vlen};
-  auto client = cluster.make_client(copts);
+  stores::KvClient& client = world.make_client(copts);
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 32, .key_len = 32, .value_len = vlen}};
 
   Histogram hist;
   bool done = false;
-  sim.spawn([](sim::Simulator& s, stores::KvClient& c,
-               workload::Workload& w, std::size_t n, Histogram* out,
-               bool* flag) -> sim::Task<void> {
+  world.sim.spawn([](sim::Simulator& s, stores::KvClient& c,
+                     workload::Workload& w, std::size_t n, Histogram* out,
+                     bool* flag) -> sim::Task<void> {
     for (std::size_t i = 0; i < n + 50; ++i) {
       const std::uint64_t key = i % 32;
       const SimTime start = s.now();
@@ -43,8 +42,8 @@ double median_put_latency_us(stores::SystemKind kind, std::size_t vlen) {
       if (i >= 50) out->record(s.now() - start);
     }
     *flag = true;
-  }(sim, *client, wl, 400, &hist, &done));
-  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
+  }(world.sim, client, wl, 400, &hist, &done));
+  while (!done) world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
   return static_cast<double>(hist.percentile(0.5)) / 1000.0;
 }
 

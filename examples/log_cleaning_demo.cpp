@@ -10,6 +10,7 @@
 #include <map>
 
 #include "stores/efactory.hpp"
+#include "stores/world.hpp"
 #include "workload/ycsb.hpp"
 
 using namespace efac;  // NOLINT: example brevity
@@ -29,20 +30,21 @@ Bytes value_of(int key, int version) {
 }  // namespace
 
 int main() {
-  sim::Simulator sim;
   stores::StoreConfig config;
   // Small pool: ~170 objects fit, 64 keys live -> overwrites force rounds.
   config.pool_bytes = 192 * sizeconst::kKiB;
   config.hash_buckets = 1u << 10;
-  stores::EFactoryStore store{sim, config};
-  store.start();
+  stores::World world{stores::SystemKind::kEFactory, config};
+  sim::Simulator& sim = world.sim;
+  auto& store = dynamic_cast<stores::EFactoryStore&>(world.store());
+  world.start();
 
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = kKeys, .key_len = 32, .value_len = kValueLen}};
   stores::ClientOptions copts;
   copts.size_hint = {32, kValueLen};
-  auto writer = store.make_client(copts);
-  auto reader = store.make_client(copts);
+  stores::KvClient& writer = world.make_client(copts);
+  stores::KvClient& reader = world.make_client(copts);
 
   std::map<int, int> latest;  // key -> last acked version
   bool writes_done = false;
@@ -59,7 +61,7 @@ int main() {
       }
     }
     *done = true;
-  }(*writer, wl, &latest, &writes_done));
+  }(writer, wl, &latest, &writes_done));
 
   sim.spawn([](sim::Simulator& s, stores::KvClient& c, workload::Workload& w,
                std::map<int, int>* acked, const bool* done, int* errors,
@@ -80,7 +82,7 @@ int main() {
       }
       co_await sim::delay(s, 5 * timeconst::kMicrosecond);
     }
-  }(sim, *reader, wl, &latest, &writes_done, &read_errors, &stale_reads,
+  }(sim, reader, wl, &latest, &writes_done, &read_errors, &stale_reads,
     &reads_done));
 
   // Progress reporter: poll pool occupancy and cleaning state.
@@ -121,7 +123,7 @@ int main() {
       if (!got.has_value() || *got != value_of(k, version)) ++*bad;
     }
     *done = true;
-  }(*reader, wl, latest, &wrong, &audit_done));
+  }(reader, wl, latest, &wrong, &audit_done));
   while (!audit_done) sim.run_until(sim.now() + timeconst::kMillisecond);
   std::printf("final audit: %d/%d keys at their last acked version\n",
               kKeys - wrong, kKeys);

@@ -9,24 +9,25 @@
 #include <cstdio>
 #include <iostream>
 
-#include "stores/efactory.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 using namespace efac;  // NOLINT: example brevity
 
 int main() {
-  // 1. A simulator owns virtual time; the store owns the simulated NVM
-  //    arena, RNIC, and server actors.
-  sim::Simulator sim;
+  // 1. A World owns the simulator (virtual time), the store (simulated
+  //    NVM arena, RNIC, server actors) and the clients, and shuts the
+  //    simulation down before any of them is destroyed.
   stores::StoreConfig config;
   config.pool_bytes = 8 * sizeconst::kMiB;
-  stores::EFactoryStore store{sim, config};
-  store.start();
+  stores::World world{stores::SystemKind::kEFactory, config};
+  sim::Simulator& sim = world.sim;
+  world.start();
 
   // 2. Clients connect over the simulated fabric.
   stores::ClientOptions options;
   options.size_hint = {/*klen=*/16, /*vlen=*/64};  // geometry for 1-sided GETs
-  auto client = store.make_client(options);
+  stores::KvClient& client = world.make_client(options);
 
   // 3. Issue operations from a coroutine; co_await suspends in virtual
   //    time exactly as the protocol dictates (alloc RPC + one-sided WRITE
@@ -55,13 +56,13 @@ int main() {
       std::printf("value: \"%s\"\n", to_string(*got).c_str());
     }
     *flag = true;
-  }(sim, *client, &done));
+  }(sim, client, &done));
 
   while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
 
   // 4. Observability: what did the protocol actually do?
-  const stores::ClientStats& cs = client->stats();
-  const stores::ServerStats& ss = store.server_stats();
+  const stores::ClientStats& cs = client.stats();
+  const stores::ServerStats& ss = world.store().server_stats();
   std::printf("\nclient: %llu puts, %llu gets (%llu pure-RDMA, %llu RPC)\n",
               static_cast<unsigned long long>(cs.puts),
               static_cast<unsigned long long>(cs.gets),
@@ -73,7 +74,7 @@ int main() {
   // The same counters — plus per-phase span histograms in virtual ns —
   // live on the client's MetricsRegistry (see docs/OBSERVABILITY.md).
   if (const Histogram* span =
-          client->metrics().find_histogram("span.put.total")) {
+          client.metrics().find_histogram("span.put.total")) {
     std::printf("span.put.total: %llu sample(s), mean %.2f us\n",
                 static_cast<unsigned long long>(span->count()),
                 span->mean() / 1000.0);

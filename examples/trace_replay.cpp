@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 #include "workload/trace.hpp"
 
@@ -79,22 +80,24 @@ int replay(const char* path, const char* system_name) {
   // Deletes need eFactory; other systems replay P/G-only traces.
   const workload::Workload wl = make_workload(workload::Mix::kWriteIntensive);
 
-  sim::Simulator sim;
   stores::StoreConfig config;
   config.pool_bytes = 32 * sizeconst::kMiB;
-  stores::Cluster cluster = stores::make_cluster(sim, it->second, config);
-  cluster.start();
+  stores::World world{it->second, config};
+  world.start();
   stores::ClientOptions copts;
   copts.size_hint = {32, kValueLen};
-  auto client = cluster.make_client(copts);
+  stores::KvClient& client = world.make_client(copts);
 
   std::optional<workload::ReplayResult> result;
-  sim.spawn([](sim::Simulator& s, stores::KvClient& c,
-               const workload::Workload& w, const workload::Trace& t,
-               std::optional<workload::ReplayResult>* out) -> sim::Task<void> {
+  world.sim.spawn([](sim::Simulator& s, stores::KvClient& c,
+                     const workload::Workload& w, const workload::Trace& t,
+                     std::optional<workload::ReplayResult>* out)
+                      -> sim::Task<void> {
     out->emplace(co_await workload::replay_trace(s, c, w, t));
-  }(sim, *client, wl, *trace, &result));
-  while (!result.has_value()) sim.run_until(sim.now() + timeconst::kMillisecond);
+  }(world.sim, client, wl, *trace, &result));
+  while (!result.has_value()) {
+    world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
+  }
 
   std::printf("replayed %zu ops against %s:\n", trace->size(),
               std::string{stores::to_string(it->second)}.c_str());

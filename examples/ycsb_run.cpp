@@ -16,6 +16,7 @@
 #include <string>
 
 #include "stores/stats_report.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 using namespace efac;  // NOLINT: example brevity
@@ -66,11 +67,9 @@ int main(int argc, char** argv) {
               options.workload.value_len, options.clients,
               options.ops_per_client);
 
-  sim::Simulator sim;
-  stores::Cluster cluster =
-      stores::make_cluster(sim, kind, workload::sized_store_config(options));
+  stores::World world{kind, workload::sized_store_config(options)};
   const workload::RunResult result =
-      workload::run_workload(sim, cluster, options);
+      workload::run_workload(world.sim, world.cluster, options);
 
   std::printf("\nthroughput: %.3f Mops/s over %.2f ms of virtual time\n",
               result.mops, static_cast<double>(result.span_ns) / 1e6);

@@ -33,7 +33,7 @@ Rules
            itself a coroutine (body contains co_await/co_return/co_yield).
            Captures live in the lambda object, which is destroyed at the
            first suspension point — they dangle when the coroutine
-           resumes.  Subsumes scripts/check_coro_captures.py.
+           resumes.
   EFAC006  orphan-finish: `x.finish()` is called on a name that is not
            declared as a metrics::Span in the same function (a span handle
            obtained some other way escapes the RAII balance argument).

@@ -153,6 +153,12 @@ class Checker final : public sim::HbHooks {
 
   void push_guard(std::uint32_t actor, Guard guard, const char* site);
   void pop_guard(std::uint32_t actor) noexcept;
+  /// AccessGuards currently open, over every actor.
+  [[nodiscard]] std::size_t open_guards() const noexcept {
+    std::size_t n = 0;
+    for (const auto& stack : guard_stacks_) n += stack.size();
+    return n;
+  }
 
   // ------------------------------------------------------------- results
 

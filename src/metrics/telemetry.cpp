@@ -190,8 +190,6 @@ TelemetrySampler::TelemetrySampler(sim::Simulator& sim,
   }
 }
 
-TelemetrySampler::~TelemetrySampler() { *alive_ = false; }
-
 void TelemetrySampler::start() {
   if (started_) return;
   started_ = true;
@@ -201,8 +199,8 @@ void TelemetrySampler::start() {
 void TelemetrySampler::stop() { started_ = false; }
 
 void TelemetrySampler::arm() {
-  sim_.call_after(options_.period_ns, [this, alive = alive_] {
-    if (!*alive || !started_) return;
+  sim_.call_after(options_.period_ns, [this] {
+    if (!started_) return;
     sample_now();
     arm();
   });

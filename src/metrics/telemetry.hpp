@@ -34,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -144,7 +143,6 @@ class TelemetrySampler {
   /// pre-validate with SloRule::parse for a clean error path).
   TelemetrySampler(sim::Simulator& sim, MetricsRegistry& registry,
                    TelemetryOptions options);
-  ~TelemetrySampler();
 
   TelemetrySampler(const TelemetrySampler&) = delete;
   TelemetrySampler& operator=(const TelemetrySampler&) = delete;
@@ -153,7 +151,7 @@ class TelemetrySampler {
   void start();
 
   /// Disarm: no further samples are taken. Safe to call at any time; the
-  /// in-flight event (if any) becomes a no-op through the alive flag.
+  /// in-flight event (if any) becomes a no-op.
   void stop();
 
   /// Register a counter cell to be sampled as a per-tick delta series.
@@ -233,10 +231,6 @@ class TelemetrySampler {
   std::uint64_t first_tick_ns_ = 0;
   bool started_ = false;
   ViolationHook hook_;
-  // Shared alive flag: the self-rescheduling simulator callback captures a
-  // copy and checks it first, so destroying the sampler (or stop()) makes
-  // any still-queued tick a no-op instead of a use-after-free.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 /// Serialize snapshots as an efac.telemetry.v1 document.

@@ -5,17 +5,12 @@
 namespace efac::metrics {
 
 void Tracer::record(std::string_view name, SimDuration elapsed) {
-  if (!state_->enabled) return;
-  record_into(*state_, name, elapsed);
-}
-
-void Tracer::record_into(State& state, std::string_view name,
-                         SimDuration elapsed) {
+  if (!enabled_) return;
   std::string key;
   key.reserve(5 + name.size());
   key = "span.";
   key += name;
-  state.registry.histogram(key).record(
+  registry_.histogram(key).record(
       elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 0);
 }
 

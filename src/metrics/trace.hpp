@@ -14,18 +14,16 @@
 // TRACE_SPAN(tracer, "name") declares an anonymous RAII span for a whole
 // lexical scope. Spans are coroutine-safe: a span held across co_await
 // lives in the coroutine frame and closes at the virtual instant the frame
-// reaches its destructor. Crucially this includes ABANDONED frames — an
-// actor suspended forever (e.g. a client loop cut short by an injected
-// crash) is destroyed by the Simulator's destructor, usually after the
-// span's Tracer (and its registry) are already gone. Spans therefore hold
-// the tracer's state through a shared_ptr whose `alive` flag the Tracer
-// clears on destruction: closing a span after its tracer died is a no-op,
-// not a use-after-free. Span names must outlive the span (use string
-// literals). A disabled tracer makes spans free apart from a branch.
+// reaches its destructor. That includes ABANDONED frames — an actor
+// suspended forever (e.g. a client loop cut short by an injected crash) is
+// destroyed by Simulator::shutdown(), which every harness runs before the
+// clients and stores die (see stores::World), so a span always closes into
+// a live tracer. Span names must outlive the span (use string literals).
+// A disabled tracer makes spans free apart from a branch.
 #pragma once
 
-#include <memory>
 #include <string_view>
+#include <utility>
 
 #include "common/types.hpp"
 #include "metrics/metrics.hpp"
@@ -36,82 +34,58 @@ namespace efac::metrics {
 class Tracer {
  public:
   Tracer(sim::Simulator& sim, MetricsRegistry& registry, bool enabled = true)
-      : state_(std::make_shared<State>(sim, registry, enabled)) {}
+      : sim_(sim), registry_(registry), enabled_(enabled) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  ~Tracer() { state_->alive = false; }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
+  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
 
-  [[nodiscard]] bool enabled() const noexcept { return state_->enabled; }
-  void set_enabled(bool enabled) noexcept { state_->enabled = enabled; }
+  [[nodiscard]] SimTime now() const noexcept { return sim_.now(); }
 
-  [[nodiscard]] sim::Simulator& simulator() const noexcept {
-    return state_->sim;
-  }
-  [[nodiscard]] SimTime now() const noexcept { return state_->sim.now(); }
-
-  /// Record a finished phase of `elapsed` virtual ns under "span.<name>".
+  /// Record a finished phase of `elapsed` virtual ns under "span.<name>"
+  /// (nothing while disabled).
   void record(std::string_view name, SimDuration elapsed);
 
  private:
-  friend class Span;
-
-  /// Shared with every open Span. `alive` goes false when the Tracer (and
-  /// therefore the registry/client it points into) is destroyed.
-  struct State {
-    State(sim::Simulator& s, MetricsRegistry& r, bool e) noexcept
-        : sim(s), registry(r), enabled(e) {}
-    sim::Simulator& sim;
-    MetricsRegistry& registry;
-    bool enabled;
-    bool alive = true;
-  };
-
-  static void record_into(State& state, std::string_view name,
-                          SimDuration elapsed);
-
-  std::shared_ptr<State> state_;
+  sim::Simulator& sim_;
+  MetricsRegistry& registry_;
+  bool enabled_;
 };
 
 /// RAII phase marker. Opens at construction (captures sim.now()), records
 /// on finish() or destruction. When the tracer is disabled the span is
-/// inert; when the tracer has been destroyed, closing is a no-op. Move-
-/// only; a moved-from span records nothing.
+/// inert. Move-only; a moved-from span records nothing.
 class Span {
  public:
   Span(Tracer& tracer, std::string_view name) noexcept
-      : state_(tracer.enabled() ? tracer.state_ : nullptr),
+      : tracer_(tracer.enabled() ? &tracer : nullptr),
         name_(name),
         start_(tracer.enabled() ? tracer.now() : 0) {}
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   Span(Span&& other) noexcept
-      : state_(std::move(other.state_)),
+      : tracer_(std::exchange(other.tracer_, nullptr)),
         name_(other.name_),
-        start_(other.start_) {
-    other.state_ = nullptr;
-  }
+        start_(other.start_) {}
   Span& operator=(Span&&) = delete;
 
   ~Span() { finish(); }
 
   /// Close the span now (idempotent); later destruction records nothing.
   void finish() {
-    if (state_ == nullptr) return;
-    if (state_->alive && state_->enabled) {
-      Tracer::record_into(*state_, name_, state_->sim.now() - start_);
-    }
-    state_ = nullptr;
+    if (tracer_ != nullptr) tracer_->record(name_, tracer_->now() - start_);
+    tracer_ = nullptr;
   }
 
   /// Abandon without recording (error paths that should not pollute the
   /// phase histogram).
-  void cancel() noexcept { state_ = nullptr; }
+  void cancel() noexcept { tracer_ = nullptr; }
 
  private:
-  std::shared_ptr<Tracer::State> state_;
+  Tracer* tracer_;
   std::string_view name_;
   SimTime start_;
 };

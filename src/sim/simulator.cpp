@@ -48,16 +48,20 @@ DetachedDriver drive(Simulator& sim, Task<void> task, std::uint64_t id) {
 
 Simulator::Simulator() : wheel_(kWheelSpan) {}
 
-Simulator::~Simulator() {
+void Simulator::shutdown() {
   // Drop the queued events first: their handles point into frames owned
-  // (directly or transitively) by the root frames below, and become
-  // dangling once those are destroyed.
-  for (std::vector<Event>& bucket : wheel_) bucket.clear();
-  far_.clear();
-  for (auto& [id, handle] : roots_) {
-    handle.destroy();  // recursively destroys children via Task destructors
+  // (directly or transitively) by the root frames, and become dangling once
+  // those are destroyed. Destroying a root destroys its children via Task
+  // destructors, which may schedule again, hence the loop.
+  while (pending_ > 0 || !roots_.empty()) {
+    for (std::vector<Event>& bucket : wheel_) bucket.clear();
+    occupancy_ = Occupancy{};
+    active_bucket_ = kNoBucket;
+    far_.clear();
+    event_actor_.clear();
+    pending_ = 0;
+    for (auto& [id, handle] : std::exchange(roots_, {})) handle.destroy();
   }
-  roots_.clear();
 }
 
 void Simulator::enqueue(Event&& e) {

@@ -24,9 +24,11 @@
 // wheel event at T, so heap-first preserves global same-time FIFO.
 //
 // Actors are coroutines returning sim::Task<>; detached root actors are
-// started with spawn(). The Simulator tracks unfinished root frames and
-// destroys them on destruction so that abandoned actors (e.g. an infinite
-// background-thread loop stopped by run_until) do not leak.
+// started with spawn(). The Simulator tracks unfinished root frames, and
+// shutdown() destroys them so that abandoned actors (e.g. an infinite
+// background-thread loop stopped by run_until) do not leak. Teardown rule:
+// shut the simulation down before anything its frames or queued events
+// point into (clients, stores) is destroyed; stores::World does this.
 #pragma once
 
 #include <array>
@@ -55,7 +57,12 @@ class Simulator {
   Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
+  ~Simulator() { shutdown(); }
+
+  /// Drop every queued event and destroy every unfinished root frame.
+  /// Events that dying frames schedule (an abandoned SemaphoreLock hands
+  /// its permit to a waiter) are dropped too, never run. Idempotent.
+  void shutdown();
 
   /// Current virtual time (ns).
   [[nodiscard]] SimTime now() const noexcept { return now_; }

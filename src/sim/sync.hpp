@@ -189,6 +189,11 @@ class Semaphore {
     Simulator::OpContext saved{};
     bool suspended = false;
 
+    // Destroyed while queued (Simulator::shutdown): leave the wait list.
+    ~AcquireAwaiter() {
+      if (suspended && !handed_off) std::erase(self.waiters_, this);
+    }
+
     bool await_ready() const noexcept { return self.available_ > 0; }
     void await_suspend(std::coroutine_handle<> h) {
       if (HbHooks* hb = self.sim_.hb_hooks()) actor = hb->current_actor();

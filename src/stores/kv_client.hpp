@@ -141,9 +141,9 @@ struct ClientStats {
 
 class KvClient {
  public:
-  // Clients are destroyed before the store (and thus before the sampler)
-  // by every harness convention; withdrawing the probes here keeps the
-  // sampler from polling freed state in between.
+  // A client can die while the simulation runs on (run_workload drops its
+  // clients mid-run); withdrawing the probes here keeps the sampler from
+  // polling freed state afterwards.
   virtual ~KvClient() {
     if (telemetry_ != nullptr) telemetry_->drop_sources(this);
   }

@@ -1,7 +1,6 @@
 #include "workload/runner.hpp"
 
 #include <bit>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,16 +140,11 @@ void run_sim_until(sim::Simulator& sim, Pred done) {
   }
 }
 
-/// Type-erased view over Cluster / ShardedCluster: the harness only needs
-/// a client factory, a start hook and the list of stores.
-struct ClusterView {
-  std::function<std::unique_ptr<KvClient>(const stores::ClientOptions&)>
-      make_client;
-  std::function<void()> start;
-  std::vector<stores::StoreBase*> stores;
-};
-
-RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
+/// The harness body, shared by Cluster and ShardedCluster: it needs only
+/// their make_client() and start(), plus the list of stores.
+template <typename ClusterT>
+RunResult run_workload_impl(sim::Simulator& sim, ClusterT& cluster,
+                            const std::vector<stores::StoreBase*>& shard_stores,
                             const RunOptions& options) {
   // Snapshot the engine counters up front so the exported metrics are
   // per-run deltas: the CRC counters are process-global, and a repeated
@@ -183,7 +177,7 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
   }
 
   // ---- phase 2: settle -------------------------------------------------
-  for (stores::StoreBase* store : cluster.stores) {
+  for (stores::StoreBase* store : shard_stores) {
     if (auto* efactory = dynamic_cast<stores::EFactoryStore*>(store)) {
       // Wait for the background verifier to drain (bounded).
       for (int i = 0; i < 10'000 && efactory->verify_queue_depth() > 0;
@@ -240,13 +234,13 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
     // (Routed sharded clients contribute every shard client's registry.)
     client->merge_metrics_into(result.metrics, {});
   }
-  for (stores::StoreBase* store : cluster.stores) {
+  for (stores::StoreBase* store : shard_stores) {
     result.metrics.merge_from(store->metrics());
   }
-  if (cluster.stores.size() > 1) {
+  if (shard_stores.size() > 1) {
     // Per-shard copies beside the aggregate, so sweeps can see skew.
-    for (std::size_t s = 0; s < cluster.stores.size(); ++s) {
-      result.metrics.merge_from(cluster.stores[s]->metrics(),
+    for (std::size_t s = 0; s < shard_stores.size(); ++s) {
+      result.metrics.merge_from(shard_stores[s]->metrics(),
                                 "shard" + std::to_string(s) + "/");
     }
   }
@@ -265,27 +259,16 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
 
 RunResult run_workload(sim::Simulator& sim, stores::Cluster& cluster,
                        const RunOptions& options) {
-  ClusterView view;
-  view.make_client = [&cluster](const stores::ClientOptions& client_options) {
-    return cluster.make_client(client_options);
-  };
-  view.start = [&cluster] { cluster.start(); };
-  view.stores = {cluster.store.get()};
-  return run_workload_impl(sim, view, options);
+  return run_workload_impl(sim, cluster, {cluster.store.get()}, options);
 }
 
 RunResult run_workload(sim::Simulator& sim, stores::ShardedCluster& cluster,
                        const RunOptions& options) {
-  ClusterView view;
-  view.make_client = [&cluster](const stores::ClientOptions& client_options) {
-    return cluster.make_client(client_options);
-  };
-  view.start = [&cluster] { cluster.start(); };
-  view.stores.reserve(cluster.num_shards());
+  std::vector<stores::StoreBase*> shard_stores;
   for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
-    view.stores.push_back(&cluster.store(s));
+    shard_stores.push_back(&cluster.store(s));
   }
-  return run_workload_impl(sim, view, options);
+  return run_workload_impl(sim, cluster, shard_stores, options);
 }
 
 stores::StoreConfig sized_store_config(const RunOptions& options,

@@ -17,7 +17,7 @@
 #include "sim/task.hpp"
 #include "stores/adaptive.hpp"
 #include "stores/efactory.hpp"
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "stores/wire.hpp"
 #include "workload/runner.hpp"
 
@@ -192,11 +192,11 @@ TEST(AdaptiveWire, HintTailIsOptionalAndBackwardCompatible) {
 // -------------------------------------------------------------- end to end
 
 TEST(AdaptiveRead, HintLeaseSkipsThenLapsesAgainstARealStore) {
-  auto sim = std::make_unique<sim::Simulator>();
   StoreConfig config;
   config.pool_bytes = 4 * sizeconst::kMiB;
-  EFactoryStore store{*sim, config};
-  store.start();
+  World world{SystemKind::kEFactory, config};
+  sim::Simulator& sim = world.sim;
+  world.start();
 
   ClientOptions options;
   options.size_hint = {16, 128};
@@ -204,13 +204,13 @@ TEST(AdaptiveRead, HintLeaseSkipsThenLapsesAgainstARealStore) {
   // Stretch the lease well past the client's WRITE + GET issue latency so
   // the first read deterministically lands inside the doomed window.
   options.adaptive.hint_margin_ns = 200 * timeconst::kMicrosecond;
-  auto client = store.make_client(options);
+  KvClient& client = world.make_client(options);
 
   const Bytes key(16, 'k');
   const Bytes value(128, 'v');
 
   bool done = false;
-  sim->spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
+  sim.spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
     EXPECT_TRUE((co_await c.put(k, v)).is_ok());
     // The PUT ack carried a durability hint; this read must skip the
     // one-sided attempt and still return the value via RPC.
@@ -220,34 +220,34 @@ TEST(AdaptiveRead, HintLeaseSkipsThenLapsesAgainstARealStore) {
       EXPECT_EQ(*got, v);
     }
     *flag = true;
-  }(*client, key, value, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
+  }(client, key, value, &done));
+  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
 
-  const metrics::MetricsRegistry& m = client->metrics();
+  const metrics::MetricsRegistry& m = client.metrics();
   ASSERT_NE(m.find_counter("read.adaptive.hints"), nullptr);
   EXPECT_GE(m.find_counter("read.adaptive.hints")->value(), 1u);
   EXPECT_EQ(m.find_counter("read.adaptive.hint_skips")->value(), 1u);
-  EXPECT_EQ(client->stats().gets_rpc_path, 1u);
-  EXPECT_EQ(client->stats().gets_pure_rdma, 0u);
+  EXPECT_EQ(client.stats().gets_rpc_path, 1u);
+  EXPECT_EQ(client.stats().gets_pure_rdma, 0u);
 
   // Let the lease lapse (and the verifier flag the object), then read
   // again: back on the fast one-sided path.
-  sim->run_until(sim->now() + timeconst::kMillisecond);
+  sim.run_until(sim.now() + timeconst::kMillisecond);
   done = false;
-  sim->spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
+  sim.spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
     const Expected<Bytes> got = co_await c.get(k);
     EXPECT_TRUE(got.has_value());
     if (got.has_value()) {
       EXPECT_EQ(*got, v);
     }
     *flag = true;
-  }(*client, key, value, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
+  }(client, key, value, &done));
+  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
 
-  EXPECT_EQ(client->stats().gets_pure_rdma, 1u);
+  EXPECT_EQ(client.stats().gets_pure_rdma, 1u);
   EXPECT_EQ(m.find_counter("read.adaptive.hint_skips")->value(), 1u);
   // The server counted the hint it piggybacked.
-  EXPECT_GE(store.server_stats().hints_issued, 1u);
+  EXPECT_GE(world.store().server_stats().hints_issued, 1u);
 }
 
 workload::RunOptions write_heavy_options() {
@@ -263,10 +263,8 @@ workload::RunOptions write_heavy_options() {
 }
 
 workload::RunResult run_write_heavy(const workload::RunOptions& options) {
-  auto sim = std::make_unique<sim::Simulator>();
-  Cluster cluster = make_cluster(*sim, SystemKind::kEFactory,
-                                 workload::sized_store_config(options));
-  return workload::run_workload(*sim, cluster, options);
+  World world{SystemKind::kEFactory, workload::sized_store_config(options)};
+  return workload::run_workload(world.sim, world.cluster, options);
 }
 
 TEST(AdaptiveRead, WriteHeavyZipfExercisesTrackerAndHints) {
@@ -333,12 +331,11 @@ TEST(AdaptiveRead, FaultPlanRunsReplayBitIdentically) {
     options.clients = 4;
     options.ops_per_client = 50;
 
-    auto sim = std::make_unique<sim::Simulator>();
     StoreConfig config = workload::sized_store_config(options);
     config.fault_plan = *plan;
-    Cluster cluster = make_cluster(*sim, SystemKind::kEFactory, config);
+    World world{SystemKind::kEFactory, config};
     workload::RunResult result =
-        workload::run_workload(*sim, cluster, options);
+        workload::run_workload(world.sim, world.cluster, options);
 
     struct Fingerprint {
       std::uint64_t events;
@@ -346,7 +343,7 @@ TEST(AdaptiveRead, FaultPlanRunsReplayBitIdentically) {
       std::string metrics_json;
       bool operator==(const Fingerprint&) const = default;
     };
-    return Fingerprint{sim->events_processed(), sim->dispatch_hash(),
+    return Fingerprint{world.sim.events_processed(), world.sim.dispatch_hash(),
                        metrics::to_json(result.metrics, "adaptive-fault")};
   };
   EXPECT_EQ(run_once(), run_once());

@@ -1,7 +1,7 @@
 // The conflict sanitizer: happens-before classification, durability lint,
-// arena wiring, end-to-end cleanliness of all ten systems, and the
-// determinism guarantee (the checker observes the schedule, never alters
-// it).
+// arena wiring, end-to-end cleanliness of all ten systems, the determinism
+// guarantee (the checker observes the schedule, never alters it), and
+// teardown of a simulation whose client is parked inside a guard.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +11,7 @@
 #include "analysis/checker.hpp"
 #include "nvm/arena.hpp"
 #include "sim/simulator.hpp"
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac {
@@ -252,12 +252,11 @@ TEST(AnalysisWorkload, AllTenSystemsRunCleanUnderTheChecker) {
   const workload::RunOptions options = small_run_options();
   std::uint64_t guarded = 0;
   for (const stores::SystemKind kind : stores::all_systems()) {
-    auto sim = std::make_unique<sim::Simulator>();
     stores::StoreConfig config = workload::sized_store_config(options);
     config.analysis.enabled = true;
-    stores::Cluster cluster = stores::make_cluster(*sim, kind, config);
-    workload::run_workload(*sim, cluster, options);
-    Checker* checker = cluster.store->checker();
+    stores::World world{kind, config};
+    workload::run_workload(world.sim, world.cluster, options);
+    Checker* checker = world.store().checker();
     ASSERT_NE(checker, nullptr) << stores::to_string(kind);
     EXPECT_TRUE(checker->clean())
         << stores::to_string(kind) << ":\n"
@@ -271,12 +270,11 @@ TEST(AnalysisWorkload, AllTenSystemsRunCleanUnderTheChecker) {
 
 TEST(AnalysisWorkload, CheckerPublishesItsCounters) {
   const workload::RunOptions options = small_run_options();
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config = workload::sized_store_config(options);
   config.analysis.enabled = true;
-  stores::Cluster cluster =
-      stores::make_cluster(*sim, stores::SystemKind::kEFactory, config);
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{stores::SystemKind::kEFactory, config};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   const metrics::Counter* reads =
       result.metrics.find_counter("analysis.reads_checked");
   const metrics::Counter* writes =
@@ -294,18 +292,63 @@ TEST(AnalysisDeterminism, CheckerDoesNotPerturbTheSchedule) {
   // event count or the dispatch order of a seeded run.
   const workload::RunOptions options = small_run_options();
   const auto run = [&options](bool analysis) {
-    auto sim = std::make_unique<sim::Simulator>();
     stores::StoreConfig config = workload::sized_store_config(options);
     config.analysis.enabled = analysis;
-    stores::Cluster cluster =
-        stores::make_cluster(*sim, stores::SystemKind::kEFactory, config);
-    workload::run_workload(*sim, cluster, options);
-    return std::pair{sim->events_processed(), sim->dispatch_hash()};
+    stores::World world{stores::SystemKind::kEFactory, config};
+    workload::run_workload(world.sim, world.cluster, options);
+    return std::pair{world.sim.events_processed(), world.sim.dispatch_hash()};
   };
   const auto off = run(false);
   const auto on = run(true);
   EXPECT_EQ(off.first, on.first);
   EXPECT_EQ(off.second, on.second);
+}
+
+// ------------------------------------------------------------- teardown
+
+// A client abandoned mid-GET holds an AccessGuard on the checker and an
+// open span on its own tracer. Shutting the simulation down destroys that
+// frame while the store (checker) and the client (registry) are alive, so
+// both close cleanly instead of touching freed memory.
+TEST(AnalysisTeardown, ShutdownClosesGuardsOfASuspendedClient) {
+  stores::StoreConfig config = workload::sized_store_config(
+      small_run_options());
+  config.analysis.enabled = true;
+  stores::World world{stores::SystemKind::kImm, config};
+  world.start();
+  stores::ClientOptions options;
+  options.size_hint = {16, 128};
+  stores::KvClient& client = world.make_client(options);
+  const Bytes key(16, 'k');
+
+  bool put_done = false;
+  world.sim.spawn([](stores::KvClient& c, Bytes k,
+                     bool* done) -> sim::Task<void> {
+    EXPECT_TRUE((co_await c.put(std::move(k), Bytes(128, 'v'))).is_ok());
+    *done = true;
+  }(client, key, &put_done));
+  while (!put_done) world.sim.step();
+
+  Checker& checker = *world.store().checker();
+  ASSERT_EQ(checker.open_guards(), 0u);
+  world.sim.spawn([](stores::KvClient& c, Bytes k) -> sim::Task<void> {
+    static_cast<void>(co_await c.get(std::move(k)));
+  }(client, key));
+  // Park the GET inside TwoReadClient::get_attempt's entry-read guard.
+  while (checker.open_guards() == 0) ASSERT_TRUE(world.sim.step());
+  const auto closed_entry_reads = [&client]() -> std::uint64_t {
+    const Histogram* h =
+        client.metrics().find_histogram("span.get.entry_read");
+    return h == nullptr ? 0 : h->count();
+  };
+  const std::uint64_t closed_before = closed_entry_reads();
+
+  world.sim.shutdown();
+  EXPECT_EQ(checker.open_guards(), 0u);
+  EXPECT_EQ(world.sim.pending_events(), 0u);
+  EXPECT_EQ(world.sim.active_root_tasks(), 0u);
+  // The abandoned frame's open span closed into the live client registry.
+  EXPECT_EQ(closed_entry_reads(), closed_before + 1);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "store_test_util.hpp"
 #include "stores/efactory.hpp"
 #include "stores/kv_client.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::stores {
@@ -82,13 +83,13 @@ TEST(ClientOptionsApi, RpcOnlyForcesTheFallbackPath) {
   ClientOptions options;
   options.read_mode = ReadMode::kRpcOnly;
   options.size_hint = {1, 64};
-  auto client = tc.cluster.make_client(options);
+  KvClient& client = tc.make_client(options);
   ASSERT_TRUE(
-      tc.put_sync(*client, Bytes{'k'}, testutil::make_value(64, 1)).is_ok());
+      tc.put_sync(client, Bytes{'k'}, testutil::make_value(64, 1)).is_ok());
   tc.settle();
-  ASSERT_TRUE(tc.get_sync(*client, Bytes{'k'}).has_value());
-  EXPECT_EQ(client->stats().gets_pure_rdma, 0u);
-  EXPECT_EQ(client->stats().gets_rpc_path, 1u);
+  ASSERT_TRUE(tc.get_sync(client, Bytes{'k'}).has_value());
+  EXPECT_EQ(client.stats().gets_pure_rdma, 0u);
+  EXPECT_EQ(client.stats().gets_rpc_path, 1u);
 }
 
 TEST(ClientOptionsApi, NoHrClusterResolvesDefaultToRpcOnly) {
@@ -107,13 +108,13 @@ TEST(ClientOptionsApi, NoHrClusterHonoursAnExplicitHybridRequest) {
   ClientOptions options;
   options.read_mode = ReadMode::kHybrid;
   options.size_hint = {1, 64};
-  auto client = tc.cluster.make_client(options);
-  EXPECT_EQ(client->options().read_mode, ReadMode::kHybrid);
+  KvClient& client = tc.make_client(options);
+  EXPECT_EQ(client.options().read_mode, ReadMode::kHybrid);
   ASSERT_TRUE(
-      tc.put_sync(*client, Bytes{'k'}, testutil::make_value(64, 1)).is_ok());
+      tc.put_sync(client, Bytes{'k'}, testutil::make_value(64, 1)).is_ok());
   tc.settle();
-  ASSERT_TRUE(tc.get_sync(*client, Bytes{'k'}).has_value());
-  EXPECT_EQ(client->stats().gets_pure_rdma, 1u);
+  ASSERT_TRUE(tc.get_sync(client, Bytes{'k'}).has_value());
+  EXPECT_EQ(client.stats().gets_pure_rdma, 1u);
 }
 
 TEST(ClientOptionsApi, TracesOnByDefaultAndOffWhenDisabled) {
@@ -127,17 +128,17 @@ TEST(ClientOptionsApi, TracesOnByDefaultAndOffWhenDisabled) {
   ClientOptions quiet;
   quiet.collect_traces = false;
   quiet.size_hint = {1, 64};
-  auto silent = tc.cluster.make_client(quiet);
+  KvClient& silent = tc.make_client(quiet);
   ASSERT_TRUE(
-      tc.put_sync(*silent, Bytes{'q'}, testutil::make_value(64, 2)).is_ok());
-  ASSERT_TRUE(tc.get_sync(*silent, Bytes{'q'}).has_value());
-  for (const auto& h : silent->metrics().histograms()) {
+      tc.put_sync(silent, Bytes{'q'}, testutil::make_value(64, 2)).is_ok());
+  ASSERT_TRUE(tc.get_sync(silent, Bytes{'q'}).has_value());
+  for (const auto& h : silent.metrics().histograms()) {
     EXPECT_NE(h.name.rfind("span.", 0), 0u)
         << "untraced client recorded span " << h.name;
   }
   // Counters still work with tracing off.
-  EXPECT_EQ(silent->stats().puts, 1u);
-  EXPECT_EQ(silent->stats().gets, 1u);
+  EXPECT_EQ(silent.stats().puts, 1u);
+  EXPECT_EQ(silent.stats().gets, 1u);
 }
 
 // -------------------------------------------------------- arena sizing
@@ -183,11 +184,9 @@ TEST(CounterInvariant, GetsPartitionIntoPureRdmaAndRpcPerSystem) {
     options.clients = 1;
     options.ops_per_client = 300;
 
-    sim::Simulator sim;
-    Cluster cluster =
-        make_cluster(sim, kind, workload::sized_store_config(options));
+    World world{kind, workload::sized_store_config(options)};
     const workload::RunResult result =
-        workload::run_workload(sim, cluster, options);
+        workload::run_workload(world.sim, world.cluster, options);
 
     EXPECT_EQ(result.put_failures, 0u) << to_string(kind);
     EXPECT_EQ(result.get_failures, 0u) << to_string(kind);
@@ -215,11 +214,10 @@ TEST(CounterInvariant, RunResultCarriesSpanHistograms) {
   options.clients = 2;
   options.ops_per_client = 100;
 
-  sim::Simulator sim;
-  Cluster cluster = make_cluster(sim, SystemKind::kEFactory,
-                                 workload::sized_store_config(options));
+  World world{SystemKind::kEFactory,
+              workload::sized_store_config(options)};
   const workload::RunResult result =
-      workload::run_workload(sim, cluster, options);
+      workload::run_workload(world.sim, world.cluster, options);
   const Histogram* get_total =
       result.metrics.find_histogram("span.get.total");
   ASSERT_NE(get_total, nullptr);

@@ -95,7 +95,7 @@ TEST(BatchAllocRpc, OneServerRoundTripPerBatchOnEFactoryAndErda) {
                    testutil::hinted(32, 256)};
     workload::Workload wl{workload::WorkloadConfig{
         .key_count = 16, .key_len = 32, .value_len = 256}};
-    StoreBase& store = *tc.cluster.store;
+    StoreBase& store = tc.store();
 
     const std::uint64_t before = store.server_stats().requests;
     bool done = false;
@@ -121,7 +121,7 @@ TEST(BatchAllocRpc, ImmBatchCostsOneRpcPlusImmediates) {
                  testutil::hinted(32, 256)};
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 8, .key_len = 32, .value_len = 256}};
-  StoreBase& store = *tc.cluster.store;
+  StoreBase& store = tc.store();
 
   const std::uint64_t before = store.server_stats().requests;
   bool done = false;

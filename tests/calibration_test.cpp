@@ -7,6 +7,7 @@
 
 #include "stores/efactory.hpp"
 #include "store_test_util.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::stores {
@@ -46,10 +47,8 @@ double mops(SystemKind kind, workload::Mix mix, std::size_t vlen,
   options.workload.value_len = vlen;
   options.clients = clients;
   options.ops_per_client = 400;
-  sim::Simulator sim;
-  Cluster cluster =
-      make_cluster(sim, kind, workload::sized_store_config(options));
-  return workload::run_workload(sim, cluster, options).mops;
+  World world{kind, workload::sized_store_config(options)};
+  return workload::run_workload(world.sim, world.cluster, options).mops;
 }
 
 // ------------------------------------------------------------- Fig. 1

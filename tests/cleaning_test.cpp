@@ -21,7 +21,7 @@ struct CleaningFixture : ::testing::Test {
       .key_count = 64, .key_len = 32, .value_len = kVlen}};
 
   EFactoryStore& store() {
-    return *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+    return dynamic_cast<EFactoryStore&>(tc.store());
   }
 
   void load(int keys, int versions = 1) {
@@ -113,18 +113,18 @@ TEST_F(CleaningFixture, RepeatedRoundsAlternatePools) {
 
 TEST_F(CleaningFixture, ClientsSwitchToRpcReadsDuringCleaning) {
   load(8);
-  auto reader = tc.cluster.make_client(testutil::hinted(32, kVlen));
+  KvClient& reader = tc.make_client(testutil::hinted(32, kVlen));
   store().force_log_cleaning();
   // While cleaning runs, reads must use the RPC path.
   ASSERT_TRUE(store().clients_use_rpc());
-  const Expected<Bytes> got = tc.get_sync(*reader, wl.key_at(0));
+  const Expected<Bytes> got = tc.get_sync(reader, wl.key_at(0));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(reader->stats().gets_rpc_path, 1u);
-  EXPECT_EQ(reader->stats().gets_pure_rdma, 0u);
+  EXPECT_EQ(reader.stats().gets_rpc_path, 1u);
+  EXPECT_EQ(reader.stats().gets_pure_rdma, 0u);
   tc.run_until_done([&] { return !store().cleaning_active(); });
   // Afterwards, the hybrid read resumes.
-  ASSERT_TRUE(tc.get_sync(*reader, wl.key_at(0)).has_value());
-  EXPECT_EQ(reader->stats().gets_pure_rdma, 1u);
+  ASSERT_TRUE(tc.get_sync(reader, wl.key_at(0)).has_value());
+  EXPECT_EQ(reader.stats().gets_pure_rdma, 1u);
 }
 
 TEST_F(CleaningFixture, WritesDuringCleaningSurvive) {
@@ -183,7 +183,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CrashDuringCleaning,
 TEST_P(CrashDuringCleaning, EveryKeyRecoversIntact) {
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(32, kVlen)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 24, .key_len = 32, .value_len = kVlen}};
   for (int k = 0; k < 24; ++k) {

@@ -50,7 +50,7 @@ TEST_P(CrashAtInstant, EFactoryNeverRecoversTornValue) {
   // instant; whatever recovers must be exactly one of the written values.
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(kKeyLen, 512)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   const Bytes key = key_of(1);
 
   int acked = 0;
@@ -83,7 +83,7 @@ TEST_P(CrashAtInstant, EFactoryNeverRecoversTornValue) {
 TEST_P(CrashAtInstant, SawRecoversOnlyWholeValues) {
   TestCluster tc{SystemKind::kSaw,
                  testutil::small_config(), testutil::hinted(kKeyLen, 512)};
-  auto& store = *dynamic_cast<SawStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<SawStore&>(tc.store());
   const Bytes key = key_of(2);
   int acked = -1;
   tc.sim.spawn([](KvClient& c, const Bytes& k, int* done) -> sim::Task<void> {
@@ -124,9 +124,9 @@ TEST(CrashDurability, SawImmRpcSurviveEveryAckedWrite) {
     tc.run_until_done([&] { return done; });
 
     // Crash with the harshest policy: nothing volatile survives.
-    tc.cluster.store->crash();
+    tc.store().crash();
     for (const auto& [k, v] : acked) {
-      const Expected<Bytes> got = tc.cluster.store->recover_get(key_of(k));
+      const Expected<Bytes> got = tc.store().recover_get(key_of(k));
       ASSERT_TRUE(got.has_value())
           << to_string(kind) << ": acked write lost for key " << k;
       EXPECT_EQ(*got, versioned_value(k, v, 256)) << to_string(kind);
@@ -140,8 +140,8 @@ TEST(CrashDurability, CaLosesAckedWritesWithZeroEviction) {
   TestCluster tc{SystemKind::kCaNoPersist,
                  config, testutil::hinted(kKeyLen, 256)};
   ASSERT_TRUE(tc.put_sync(key_of(0), versioned_value(0, 1, 256)).is_ok());
-  tc.cluster.store->crash();
-  EXPECT_FALSE(tc.cluster.store->recover_get(key_of(0)).has_value());
+  tc.store().crash();
+  EXPECT_FALSE(tc.store().recover_get(key_of(0)).has_value());
 }
 
 // --------------------------------------------- monotonic reads (eFactory)
@@ -151,7 +151,7 @@ TEST(CrashMonotonicReads, EFactoryValueReadBeforeCrashSurvives) {
   // crash immediately after: the hybrid read only returns durable data.
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(kKeyLen, 512)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   for (int k = 0; k < 8; ++k) {
     ASSERT_TRUE(tc.put_sync(key_of(k), versioned_value(k, 3)).is_ok());
   }
@@ -180,7 +180,7 @@ TEST(CrashMonotonicReads, ErdaViolatesMonotonicReads) {
   StoreConfig config = testutil::small_config();
   config.crash_policy.eviction_probability = 0.0;
   TestCluster tc{SystemKind::kErda, config, testutil::hinted(kKeyLen, 512)};
-  auto& store = *dynamic_cast<ErdaStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ErdaStore&>(tc.store());
   ASSERT_TRUE(tc.put_sync(key_of(0), versioned_value(0, 1)).is_ok());
   tc.settle();
   const Expected<Bytes> before = tc.get_sync(key_of(0));
@@ -199,7 +199,7 @@ TEST(CrashVersionList, EFactoryRecoversWithManyTornHeads) {
   // past all of them to the intact one — beyond Erda's two-slot reach.
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(kKeyLen, 512)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   const Bytes key = key_of(5);
   ASSERT_TRUE(tc.put_sync(key, versioned_value(5, 0)).is_ok());
   tc.run_until_done([&] { return store.verify_queue_depth() == 0; });
@@ -235,7 +235,7 @@ TEST(CrashVersionList, ErdaTwoSlotRegionCannotReachThirdVersion) {
   StoreConfig config = testutil::small_config();
   config.crash_policy.eviction_probability = 0.0;
   TestCluster tc{SystemKind::kErda, config, testutil::hinted(kKeyLen, 512)};
-  auto& store = *dynamic_cast<ErdaStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ErdaStore&>(tc.store());
   const Bytes key = key_of(6);
   ASSERT_TRUE(tc.put_sync(key, versioned_value(6, 0)).is_ok());
   // Force the intact version into the media (Erda would need luck for
@@ -288,19 +288,17 @@ TEST_P(ConcurrentWriterCrash, EFactoryRecoversSomeWrittenValue) {
   // on some fully-written value of that key (the paper's motivating
   // scenario for the multi-version list).
   TestCluster tc{SystemKind::kEFactory};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   const Bytes key = key_of(9);
   const int writers = 4;
-  std::vector<std::unique_ptr<KvClient>> clients;
   for (int w = 0; w < writers; ++w) {
-    clients.push_back(
-        tc.cluster.make_client(testutil::hinted(kKeyLen, 512)));
+    KvClient& client = tc.make_client(testutil::hinted(kKeyLen, 512));
     tc.sim.spawn([](KvClient& c, const Bytes& k, int writer) -> sim::Task<void> {
       for (int v = 0; v < 20; ++v) {
         static_cast<void>(
             co_await c.put(Bytes(k), versioned_value(writer, v)));
       }
-    }(*clients.back(), key, w));
+    }(client, key, w));
   }
   const SimTime crash_at = 20'000 + static_cast<SimTime>(GetParam()) * 31'013;
   tc.sim.run_until(crash_at);

@@ -15,8 +15,7 @@
 #include "metrics/json.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "stores/factory.hpp"
-#include "stores/sharding.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac {
@@ -129,14 +128,14 @@ struct RunFingerprint {
 
 RunFingerprint run_fig9_style() {
   const workload::RunOptions options = fig9_style_options();
-  auto sim = std::make_unique<sim::Simulator>();
-  stores::Cluster cluster =
-      stores::make_cluster(*sim, stores::SystemKind::kEFactory,
-                           workload::sized_store_config(options));
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{stores::SystemKind::kEFactory,
+                      workload::sized_store_config(options)};
+  // The unsharded runner overload, on the World's only shard.
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster.shards.front(), options);
   RunFingerprint fp;
-  fp.events = sim->events_processed();
-  fp.dispatch_hash = sim->dispatch_hash();
+  fp.events = world.sim.events_processed();
+  fp.dispatch_hash = world.sim.dispatch_hash();
   fp.metrics_json = metrics::to_json(result.metrics, "determinism");
   return fp;
 }
@@ -153,11 +152,10 @@ TEST(Determinism, RepeatedSeededRunsAreBitIdentical) {
 
 TEST(Determinism, WorkloadPublishesEngineCounters) {
   const workload::RunOptions options = fig9_style_options();
-  auto sim = std::make_unique<sim::Simulator>();
-  stores::Cluster cluster =
-      stores::make_cluster(*sim, stores::SystemKind::kEFactory,
-                           workload::sized_store_config(options));
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{stores::SystemKind::kEFactory,
+                      workload::sized_store_config(options)};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
 
   const metrics::Counter* fast =
       result.metrics.find_counter("sim.events.fast_path");
@@ -165,7 +163,7 @@ TEST(Determinism, WorkloadPublishesEngineCounters) {
       result.metrics.find_counter("sim.events.heap_fallback");
   ASSERT_NE(fast, nullptr);
   ASSERT_NE(heap, nullptr);
-  EXPECT_EQ(fast->value() + heap->value(), sim->events_processed());
+  EXPECT_EQ(fast->value() + heap->value(), world.sim.events_processed());
   EXPECT_GT(fast->value(), 0u);
 
   // eFactory's verifier checksums every object, so some CRC bytes must be
@@ -182,22 +180,20 @@ TEST(Determinism, WorkloadPublishesEngineCounters) {
 // inputs. Two identical batched runs share every dispatch decision.
 TEST(Determinism, BatchedAsyncRunsAreBitIdentical) {
   const auto run_once = [] {
-    auto sim = std::make_unique<sim::Simulator>();
     stores::StoreConfig config;
     config.pool_bytes = 4 * sizeconst::kMiB;
-    stores::Cluster cluster =
-        stores::make_cluster(*sim, stores::SystemKind::kEFactory, config);
-    cluster.start();
+    stores::World world{stores::SystemKind::kEFactory, config};
+    world.start();
     stores::ClientOptions options;
     options.size_hint = {32, 256};
     options.max_inflight = 8;
-    auto client = cluster.make_client(options);
+    stores::KvClient& client = world.make_client(options);
     workload::Workload wl{workload::WorkloadConfig{
         .key_count = 24, .key_len = 32, .value_len = 256}};
 
     bool done = false;
-    sim->spawn([](stores::KvClient& c, const workload::Workload& w,
-                  bool* flag) -> sim::Task<void> {
+    world.sim.spawn([](stores::KvClient& c, const workload::Workload& w,
+                       bool* flag) -> sim::Task<void> {
       std::vector<stores::KvClient::PutOp> ops;
       for (int k = 0; k < 24; ++k) {
         ops.push_back({w.key_at(k), w.value_for(k, 1)});
@@ -211,11 +207,13 @@ TEST(Determinism, BatchedAsyncRunsAreBitIdentical) {
           co_await c.get_batch(std::move(keys));
       for (const Expected<Bytes>& v : got) EXPECT_TRUE(v.has_value());
       *flag = true;
-    }(*client, wl, &done));
-    while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
-    sim->run_until(sim->now() + 2 * timeconst::kMillisecond);
-    return std::pair<std::uint64_t, std::uint64_t>{sim->events_processed(),
-                                                   sim->dispatch_hash()};
+    }(client, wl, &done));
+    while (!done) {
+      world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
+    }
+    world.sim.run_until(world.sim.now() + 2 * timeconst::kMillisecond);
+    return std::pair<std::uint64_t, std::uint64_t>{world.sim.events_processed(),
+                                                   world.sim.dispatch_hash()};
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -230,15 +228,13 @@ TEST(Determinism, AdaptiveReadRunsAreBitIdentical) {
     workload::RunOptions options = fig9_style_options();
     options.workload.mix = workload::Mix::kWriteIntensive;
     options.client.adaptive.enabled = true;
-    auto sim = std::make_unique<sim::Simulator>();
-    stores::Cluster cluster =
-        stores::make_cluster(*sim, stores::SystemKind::kEFactory,
-                             workload::sized_store_config(options));
+    stores::World world{stores::SystemKind::kEFactory,
+                        workload::sized_store_config(options)};
     workload::RunResult result =
-        workload::run_workload(*sim, cluster, options);
+        workload::run_workload(world.sim, world.cluster, options);
     RunFingerprint fp;
-    fp.events = sim->events_processed();
-    fp.dispatch_hash = sim->dispatch_hash();
+    fp.events = world.sim.events_processed();
+    fp.dispatch_hash = world.sim.dispatch_hash();
     fp.metrics_json = metrics::to_json(result.metrics, "determinism");
     return fp;
   };
@@ -253,16 +249,15 @@ TEST(Determinism, AdaptiveReadRunsAreBitIdentical) {
 
 RunFingerprint run_fig9_style_sharded(std::size_t num_shards) {
   const workload::RunOptions options = fig9_style_options();
-  auto sim = std::make_unique<sim::Simulator>();
   stores::ClusterConfig config;
   config.num_shards = num_shards;
   config.store = workload::sized_store_config(options);
-  stores::ShardedCluster cluster = stores::make_sharded_cluster(
-      *sim, stores::SystemKind::kEFactory, std::move(config));
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{stores::SystemKind::kEFactory, std::move(config)};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   RunFingerprint fp;
-  fp.events = sim->events_processed();
-  fp.dispatch_hash = sim->dispatch_hash();
+  fp.events = world.sim.events_processed();
+  fp.dispatch_hash = world.sim.dispatch_hash();
   fp.metrics_json = metrics::to_json(result.metrics, "determinism");
   return fp;
 }
@@ -300,14 +295,12 @@ TEST(Determinism, FaultPlanOnShardedClusterReplaysBitIdentically) {
         "fault resp_drop every=13 phase=4\n"
         "fault resp_delay every=9 phase=5 delay_us=40\n");
     EFAC_CHECK(plan.has_value());
-    auto sim = std::make_unique<sim::Simulator>();
     stores::ClusterConfig config;
     config.num_shards = 4;
     config.store.pool_bytes = 8 * sizeconst::kMiB;
     config.store.fault_plan = *plan;
-    stores::ShardedCluster cluster = stores::make_sharded_cluster(
-        *sim, stores::SystemKind::kEFactory, std::move(config));
-    cluster.start();
+    stores::World world{stores::SystemKind::kEFactory, std::move(config)};
+    world.start();
 
     stores::ClientOptions options;
     options.size_hint = {16, 128};
@@ -316,12 +309,12 @@ TEST(Determinism, FaultPlanOnShardedClusterReplaysBitIdentically) {
     options.retry.backoff_base_ns = 2 * timeconst::kMicrosecond;
     options.retry.backoff_cap_ns = 50 * timeconst::kMicrosecond;
     options.retry.jitter = 0.2;
-    auto client = cluster.make_client(options);
+    stores::KvClient& client = world.make_client(options);
 
     std::uint64_t oks = 0;
     bool done = false;
-    sim->spawn([](stores::KvClient& c, std::uint64_t* ok_count,
-                  bool* flag) -> sim::Task<void> {
+    world.sim.spawn([](stores::KvClient& c, std::uint64_t* ok_count,
+                       bool* flag) -> sim::Task<void> {
       for (int version = 1; version <= 10; ++version) {
         for (int k = 0; k < 8; ++k) {
           Bytes key(16, static_cast<std::uint8_t>('a' + k));
@@ -334,9 +327,11 @@ TEST(Determinism, FaultPlanOnShardedClusterReplaysBitIdentically) {
         }
       }
       *flag = true;
-    }(*client, &oks, &done));
-    while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
-    sim->run_until(sim->now() + 2 * timeconst::kMillisecond);
+    }(client, &oks, &done));
+    while (!done) {
+      world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
+    }
+    world.sim.run_until(world.sim.now() + 2 * timeconst::kMillisecond);
 
     struct Fingerprint {
       std::uint64_t events;
@@ -345,8 +340,9 @@ TEST(Determinism, FaultPlanOnShardedClusterReplaysBitIdentically) {
       std::uint64_t retries;
       bool operator==(const Fingerprint&) const = default;
     };
-    return Fingerprint{sim->events_processed(), sim->dispatch_hash(), oks,
-                       client->stats().retries};
+    return Fingerprint{world.sim.events_processed(),
+                       world.sim.dispatch_hash(), oks,
+                       client.stats().retries};
   };
   const auto a = run_once();
   EXPECT_EQ(a, run_once());

@@ -70,11 +70,11 @@ TEST(EdgeGeometry, WrongSizeHintFallsBackSafely) {
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
   tc.settle();
 
-  auto misinformed = tc.cluster.make_client(testutil::hinted(key.size(), 512));
-  const Expected<Bytes> got = tc.get_sync(*misinformed, key);
+  KvClient& misinformed = tc.make_client(testutil::hinted(key.size(), 512));
+  const Expected<Bytes> got = tc.get_sync(misinformed, key);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, value);
-  EXPECT_GE(misinformed->stats().gets_rpc_path, 1u);
+  EXPECT_GE(misinformed.stats().gets_rpc_path, 1u);
 }
 
 // ------------------------------------------------------- handler edges
@@ -85,7 +85,7 @@ TEST(EdgeHandlers, SawPersistForUnknownObjectIsRejected) {
   const Bytes key = to_bytes("still-alive-key-00000000000000000");
   TestCluster tc{SystemKind::kSaw,
                  testutil::small_config(), testutil::hinted(key.size(), 64)};
-  auto& store = *dynamic_cast<SawStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<SawStore&>(tc.store());
   rpc::Connection conn{tc.sim, store.fabric(), store.node(),
                        store.directory(), store.next_qp_id()};
   PersistRequest req;
@@ -108,7 +108,7 @@ TEST(EdgeHandlers, ImmStaleTokenIsIgnored) {
   // An immediate with a token the server does not know (e.g. duplicated
   // delivery) must be dropped without effect.
   TestCluster tc{SystemKind::kImm};
-  auto& store = *dynamic_cast<ImmStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ImmStore&>(tc.store());
   rdma::QueuePair qp{tc.sim, store.fabric(), store.node(),
                      store.next_qp_id()};
   bool sent = false;
@@ -158,24 +158,24 @@ TEST(EdgeHandlers, HashTableFullSurfacesToClient) {
 TEST(EdgeCrash, CrashRecoverCrashRecoverRemainsConsistent) {
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(32, 128)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 16, .key_len = 32, .value_len = 128}};
 
   for (int round = 1; round <= 3; ++round) {
-    auto client = tc.cluster.make_client(testutil::hinted(32, 128));
+    KvClient& client = tc.make_client(testutil::hinted(32, 128));
     for (int k = 0; k < 16; ++k) {
       ASSERT_TRUE(
-          tc.put_sync(*client, wl.key_at(k), wl.value_for(k, round)).is_ok());
+          tc.put_sync(client, wl.key_at(k), wl.value_for(k, round)).is_ok());
     }
     tc.run_until_done([&] { return store.verify_queue_depth() == 0; });
     tc.settle();
     store.crash();
     const EFactoryStore::RecoveryReport report = store.recover();
     EXPECT_EQ(report.keys_recovered, 16u) << "round " << round;
-    auto reader = tc.cluster.make_client(testutil::hinted(32, 128));
+    KvClient& reader = tc.make_client(testutil::hinted(32, 128));
     for (int k = 0; k < 16; ++k) {
-      const Expected<Bytes> got = tc.get_sync(*reader, wl.key_at(k));
+      const Expected<Bytes> got = tc.get_sync(reader, wl.key_at(k));
       ASSERT_TRUE(got.has_value()) << "round " << round << " key " << k;
       EXPECT_EQ(*got, wl.value_for(k, round));
     }
@@ -195,9 +195,8 @@ TEST(EdgeScale, ThirtyTwoClientsComplete) {
   tc.settle();
 
   int done = 0;
-  std::vector<std::unique_ptr<KvClient>> clients;
   for (int c = 0; c < 32; ++c) {
-    clients.push_back(tc.cluster.make_client(testutil::hinted(32, 64)));
+    KvClient& client = tc.make_client(testutil::hinted(32, 64));
     tc.sim.spawn([](KvClient& cl, workload::Workload& w, int id,
                     int* out) -> sim::Task<void> {
       Rng rng{static_cast<std::uint64_t>(id) + 1};
@@ -211,7 +210,7 @@ TEST(EdgeScale, ThirtyTwoClientsComplete) {
         }
       }
       ++*out;
-    }(*clients.back(), wl, c, &done));
+    }(client, wl, c, &done));
   }
   tc.run_until_done([&] { return done == 32; });
   EXPECT_EQ(done, 32);

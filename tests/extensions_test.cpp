@@ -33,7 +33,7 @@ struct DeleteFixture : ::testing::Test {
   TestCluster tc{SystemKind::kEFactory, testutil::small_config(),
                  testutil::hinted(key.size(), value.size())};
   EFactoryStore& store() {
-    return *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+    return dynamic_cast<EFactoryStore&>(tc.store());
   }
 
   void SetUp() override {
@@ -79,12 +79,12 @@ TEST_F(DeleteFixture, PutAfterDeleteResurrectsKey) {
 TEST_F(DeleteFixture, PureRdmaReadObservesTombstone) {
   ASSERT_TRUE(del_sync(tc, *tc.client, key).is_ok());
   tc.settle();
-  auto reader = tc.cluster.make_client(testutil::hinted(key.size(), value.size()));
-  const Expected<Bytes> got = tc.get_sync(*reader, key);
+  KvClient& reader = tc.make_client(testutil::hinted(key.size(), value.size()));
+  const Expected<Bytes> got = tc.get_sync(reader, key);
   EXPECT_FALSE(got.has_value());
   // The tombstone was detected on the one-sided path (no RPC needed).
-  EXPECT_EQ(reader->stats().gets_pure_rdma, 1u);
-  EXPECT_EQ(reader->stats().gets_rpc_path, 0u);
+  EXPECT_EQ(reader.stats().gets_pure_rdma, 1u);
+  EXPECT_EQ(reader.stats().gets_rpc_path, 0u);
 }
 
 TEST_F(DeleteFixture, CleaningReclaimsDeletedKeys) {
@@ -117,7 +117,7 @@ struct RestartFixture : ::testing::Test {
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(32, 256)};
   EFactoryStore& store() {
-    return *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+    return dynamic_cast<EFactoryStore&>(tc.store());
   }
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 32, .key_len = 32, .value_len = 256}};
@@ -137,16 +137,16 @@ TEST_F(RestartFixture, RecoverRebuildsAndServes) {
 
   // The restarted server answers reads (pure-RDMA: recovered objects come
   // up flagged) and accepts new writes.
-  auto client = tc.cluster.make_client(testutil::hinted(32, 256));
+  KvClient& client = tc.make_client(testutil::hinted(32, 256));
   for (std::uint64_t k = 0; k < 32; ++k) {
-    const Expected<Bytes> got = tc.get_sync(*client, wl.key_at(k));
+    const Expected<Bytes> got = tc.get_sync(client, wl.key_at(k));
     ASSERT_TRUE(got.has_value()) << "key " << k;
     EXPECT_EQ(*got, wl.value_for(k, 1));
   }
-  EXPECT_EQ(client->stats().gets_pure_rdma, 32u);
-  ASSERT_TRUE(tc.put_sync(*client, wl.key_at(0), wl.value_for(0, 2)).is_ok());
+  EXPECT_EQ(client.stats().gets_pure_rdma, 32u);
+  ASSERT_TRUE(tc.put_sync(client, wl.key_at(0), wl.value_for(0, 2)).is_ok());
   tc.settle();
-  EXPECT_EQ(*tc.get_sync(*client, wl.key_at(0)), wl.value_for(0, 2));
+  EXPECT_EQ(*tc.get_sync(client, wl.key_at(0)), wl.value_for(0, 2));
 }
 
 TEST_F(RestartFixture, RecoverCompactsPools) {
@@ -189,8 +189,8 @@ TEST_F(RestartFixture, RecoverDropsTornHeadsKeepsOlder) {
   store().crash();
   const EFactoryStore::RecoveryReport report = store().recover();
   EXPECT_GE(report.versions_discarded, 1u);
-  auto client = tc.cluster.make_client(testutil::hinted(32, 256));
-  const Expected<Bytes> got = tc.get_sync(*client, wl.key_at(7));
+  KvClient& client = tc.make_client(testutil::hinted(32, 256));
+  const Expected<Bytes> got = tc.get_sync(client, wl.key_at(7));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, wl.value_for(7, 1));
 }
@@ -202,8 +202,8 @@ TEST_F(RestartFixture, RecoverPreservesDeletes) {
   store().crash();
   const EFactoryStore::RecoveryReport report = store().recover();
   EXPECT_GE(report.tombstones_dropped, 1u);
-  auto client = tc.cluster.make_client(testutil::hinted(32, 256));
-  EXPECT_EQ(tc.get_sync(*client, wl.key_at(3)).code(),
+  KvClient& client = tc.make_client(testutil::hinted(32, 256));
+  EXPECT_EQ(tc.get_sync(client, wl.key_at(3)).code(),
             StatusCode::kNotFound);
 }
 
@@ -212,11 +212,11 @@ TEST_F(RestartFixture, RecoverPreservesDeletes) {
 struct RcommitFixture : ::testing::Test {
   TestCluster tc{SystemKind::kRcommit};
   RcommitStore& store() {
-    return *dynamic_cast<RcommitStore*>(tc.cluster.store.get());
+    return dynamic_cast<RcommitStore&>(tc.store());
   }
   // Per-test geometries differ, so each test swaps in a hinted client.
   void hint(std::size_t klen, std::size_t vlen) {
-    tc.client = tc.cluster.make_client(testutil::hinted(klen, vlen));
+    tc.client = &tc.make_client(testutil::hinted(klen, vlen));
   }
 };
 

@@ -23,6 +23,7 @@
 #include "store_test_util.hpp"
 #include "stores/efactory.hpp"
 #include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac {
@@ -157,15 +158,14 @@ RunFingerprint run_efactory_workload(const fault::FaultPlan& plan) {
   options.clients = 2;
   options.ops_per_client = 30;
 
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config = workload::sized_store_config(options);
   config.fault_plan = plan;
-  stores::Cluster cluster =
-      stores::make_cluster(*sim, stores::SystemKind::kEFactory, config);
-  workload::RunResult result = workload::run_workload(*sim, cluster, options);
+  stores::World world{stores::SystemKind::kEFactory, config};
+  workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
   RunFingerprint fp;
-  fp.events = sim->events_processed();
-  fp.dispatch_hash = sim->dispatch_hash();
+  fp.events = world.sim.events_processed();
+  fp.dispatch_hash = world.sim.dispatch_hash();
   fp.metrics_json = metrics::to_json(result.metrics, "fault_test");
   return fp;
 }
@@ -219,27 +219,27 @@ ChaosRun run_chaos_once() {
   options.retry.backoff_cap_ns = 50 * timeconst::kMicrosecond;
   options.retry.jitter = 0.2;
   options.size_hint = {16, 128};
-  std::unique_ptr<stores::KvClient> client = tc.cluster.make_client(options);
+  stores::KvClient& client = tc.make_client(options);
 
   ChaosRun run;
   for (int version = 1; version <= 20; ++version) {
     for (int k = 0; k < 4; ++k) {
       Bytes key(16, static_cast<std::uint8_t>('a' + k));
       Bytes value = testutil::make_value(128, static_cast<std::uint8_t>(version));
-      if (tc.put_sync(*client, key, std::move(value)).is_ok()) ++run.oks;
-      static_cast<void>(tc.get_sync(*client, std::move(key)));
+      if (tc.put_sync(client, key, std::move(value)).is_ok()) ++run.oks;
+      static_cast<void>(tc.get_sync(client, std::move(key)));
     }
   }
   tc.settle(100 * timeconst::kMicrosecond);
 
   run.dispatch_hash = tc.sim.dispatch_hash();
-  run.client_json = metrics::to_json(client->metrics(), "fault_test");
-  run.store_json = metrics::to_json(tc.cluster.store->metrics(), "fault_test");
+  run.client_json = metrics::to_json(client.metrics(), "fault_test");
+  run.store_json = metrics::to_json(tc.store().metrics(), "fault_test");
   for (std::size_t s = 0; s < fault::kSiteCount; ++s) {
     run.fires.push_back(
-        tc.cluster.store->injector().fires(static_cast<fault::Site>(s)));
+        tc.store().injector().fires(static_cast<fault::Site>(s)));
   }
-  run.retries = client->stats().retries;
+  run.retries = client.stats().retries;
   return run;
 }
 
@@ -304,7 +304,7 @@ TEST(TimeoutBoundary, ObjectCompletingExactlyAtDeadlineStaysDurable) {
   }
   EXPECT_FALSE(put_result->is_ok());
 
-  auto& store = static_cast<stores::EFactoryStore&>(*tc.cluster.store);
+  auto& store = static_cast<stores::EFactoryStore&>(tc.store());
   std::size_t probes = 0;
   const Expected<std::size_t> slot =
       store.dir().find(kv::hash_key(key), &probes);
@@ -358,12 +358,12 @@ TEST(TimeoutBoundary, AbandonedTornWriteIsInvalidatedAfterTimeout) {
   EXPECT_GT(put_failures, 0);  // every other WRITE was torn
   tc.settle(300 * timeconst::kMicrosecond);
 
-  EXPECT_GT(tc.cluster.store->server_stats().bg_timeouts, 0u);
+  EXPECT_GT(tc.store().server_stats().bg_timeouts, 0u);
   const std::uint64_t injected =
-      tc.cluster.store->injector().fires(fault::Site::kWriteTorn);
+      tc.store().injector().fires(fault::Site::kWriteTorn);
   EXPECT_EQ(injected, static_cast<std::uint64_t>(put_failures));
   const metrics::Counter* counter =
-      tc.cluster.store->metrics().find_counter("fault.injected.write_torn");
+      tc.store().metrics().find_counter("fault.injected.write_torn");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->value(), injected);
 

@@ -38,7 +38,7 @@ TracedRun run_traced(SystemKind kind, bool trace_enabled) {
     EXPECT_TRUE(tc.get_sync(wl.key_at(k)).has_value());
   }
   TracedRun run;
-  if (EventLog* log = tc.cluster.store->trace_log(); log != nullptr) {
+  if (EventLog* log = tc.store().trace_log(); log != nullptr) {
     run.snapshot = log->snapshot("test");
   }
   run.dispatch_hash = tc.sim.dispatch_hash();
@@ -56,7 +56,7 @@ bool has_event(const EventLog::Snapshot& snap, EventType type) {
 
 TEST(FlightRecorder, OffByDefault) {
   TestCluster tc{SystemKind::kEFactory};
-  EXPECT_EQ(tc.cluster.store->trace_log(), nullptr);
+  EXPECT_EQ(tc.store().trace_log(), nullptr);
 }
 
 TEST(FlightRecorder, RecordsOpLifecycleAndActorTracks) {

@@ -48,8 +48,8 @@ TEST_P(FreshnessSweep, ReadsNeverReturnStaleAckedData) {
   TestCluster tc{GetParam()};
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = kKeys, .key_len = 32, .value_len = kVlen}};
-  auto writer = tc.cluster.make_client(testutil::hinted(32, kVlen));
-  auto reader = tc.cluster.make_client(testutil::hinted(32, kVlen));
+  KvClient& writer = tc.make_client(testutil::hinted(32, kVlen));
+  KvClient& reader = tc.make_client(testutil::hinted(32, kVlen));
 
   std::map<int, int> acked;  // key -> latest acked version
   bool writes_done = false;
@@ -65,7 +65,7 @@ TEST_P(FreshnessSweep, ReadsNeverReturnStaleAckedData) {
       }
     }
     *done = true;
-  }(*writer, wl, &acked, &writes_done));
+  }(writer, wl, &acked, &writes_done));
 
   tc.sim.spawn([](sim::Simulator& s, KvClient& c, workload::Workload& w,
                   const std::map<int, int>& a, const bool* done, int* stale,
@@ -87,7 +87,7 @@ TEST_P(FreshnessSweep, ReadsNeverReturnStaleAckedData) {
       }
       co_await sim::delay(s, rng.next_below(3'000));
     }
-  }(tc.sim, *reader, wl, acked, &writes_done, &stale_reads, &reads));
+  }(tc.sim, reader, wl, acked, &writes_done, &stale_reads, &reads));
 
   tc.run_until_done([&] { return writes_done; });
   EXPECT_GT(reads, 20);
@@ -105,8 +105,8 @@ TEST(FreshnessContrast, CaCanServeTornBytes) {
   TestCluster tc{SystemKind::kCaNoPersist};
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = kKeys, .key_len = 32, .value_len = kVlen}};
-  auto writer = tc.cluster.make_client(testutil::hinted(32, kVlen));
-  auto reader = tc.cluster.make_client(testutil::hinted(32, kVlen));
+  KvClient& writer = tc.make_client(testutil::hinted(32, kVlen));
+  KvClient& reader = tc.make_client(testutil::hinted(32, kVlen));
   bool writes_done = false;
   int torn = 0;
   tc.sim.spawn([](KvClient& c, workload::Workload& w,
@@ -117,7 +117,7 @@ TEST(FreshnessContrast, CaCanServeTornBytes) {
       }
     }
     *done = true;
-  }(*writer, wl, &writes_done));
+  }(writer, wl, &writes_done));
   tc.sim.spawn([](sim::Simulator& s, KvClient& c, workload::Workload& w,
                   const bool* done, int* out) -> sim::Task<void> {
     Rng rng{0xF2E5};
@@ -130,7 +130,7 @@ TEST(FreshnessContrast, CaCanServeTornBytes) {
       }
       co_await sim::delay(s, rng.next_below(3'000));
     }
-  }(tc.sim, *reader, wl, &writes_done, &torn));
+  }(tc.sim, reader, wl, &writes_done, &torn));
   tc.run_until_done([&] { return writes_done; });
   EXPECT_GT(torn, 0) << "expected CA to expose at least one torn read";
 }

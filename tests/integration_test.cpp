@@ -10,7 +10,6 @@
 namespace efac::workload {
 namespace {
 
-using stores::Cluster;
 using stores::SystemKind;
 
 RunOptions small_run(Mix mix, std::size_t value_len = 512) {
@@ -23,19 +22,9 @@ RunOptions small_run(Mix mix, std::size_t value_len = 512) {
   return options;
 }
 
-RunResult run_one(SystemKind kind, const RunOptions& options,
-                  Cluster* out_cluster = nullptr) {
-  static sim::Simulator* leak_guard = nullptr;  // one sim per call
-  static_cast<void>(leak_guard);
-  auto sim = std::make_unique<sim::Simulator>();
-  Cluster cluster =
-      stores::make_cluster(*sim, kind, sized_store_config(options));
-  RunResult result = run_workload(*sim, cluster, options);
-  if (out_cluster != nullptr) *out_cluster = std::move(cluster);
-  // NOTE: cluster holds the arena; it must outlive pending sim events, so
-  // destroy the simulator first.
-  sim.reset();
-  return result;
+RunResult run_one(SystemKind kind, const RunOptions& options) {
+  stores::World world{kind, sized_store_config(options)};
+  return run_workload(world.sim, world.cluster, options);
 }
 
 // ----------------------------------------------------- per-system smoke
@@ -132,60 +121,57 @@ TEST(IntegrationCleaning, WorkloadSurvivesContinuousCleaning) {
   // no read may fail and no acked update may be lost at the end.
   RunOptions options = small_run(Mix::kWriteIntensive, 1024);
   options.ops_per_client = 400;
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config =
       sized_store_config(options, /*for_cleaning=*/true);
-  Cluster cluster = stores::make_cluster(*sim, SystemKind::kEFactory, config);
-  auto* store = dynamic_cast<stores::EFactoryStore*>(cluster.store.get());
-  const RunResult result = run_workload(*sim, cluster, options);
+  stores::World world{SystemKind::kEFactory, config};
+  auto& store = dynamic_cast<stores::EFactoryStore&>(world.store());
+  const RunResult result = run_workload(world.sim, world.cluster, options);
 
   EXPECT_EQ(result.get_failures, 0u);
-  EXPECT_GE(store->server_stats().cleanings, 1u)
+  EXPECT_GE(store.server_stats().cleanings, 1u)
       << "pool sizing failed to trigger cleaning";
 
   // After the dust settles every key must still resolve.
-  sim->run_until(sim->now() + 5 * timeconst::kMillisecond);
+  world.sim.run_until(world.sim.now() + 5 * timeconst::kMillisecond);
   Workload workload{options.workload};
-  auto client = cluster.make_client(testutil::hinted(options.workload.key_len, options.workload.value_len));
+  stores::KvClient& client = world.make_client(testutil::hinted(
+      options.workload.key_len, options.workload.value_len));
   int failures = 0;
   bool done = false;
-  sim->spawn([](stores::KvClient& c, Workload& w, std::uint64_t keys,
-                int* fails, bool* flag) -> sim::Task<void> {
+  world.sim.spawn([](stores::KvClient& c, Workload& w, std::uint64_t keys,
+                     int* fails, bool* flag) -> sim::Task<void> {
     for (std::uint64_t k = 0; k < keys; ++k) {
       const Expected<Bytes> got = co_await c.get(w.key_at(k));
       if (!got) ++*fails;
     }
     *flag = true;
-  }(*client, workload, options.workload.key_count, &failures, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
+  }(client, workload, options.workload.key_count, &failures, &done));
+  while (!done) world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
   EXPECT_EQ(failures, 0);
-  sim.reset();
 }
 
 TEST(IntegrationCleaning, CrashAfterCleaningStillRecovers) {
   RunOptions options = small_run(Mix::kUpdateOnly, 1024);
   options.ops_per_client = 300;
-  auto sim = std::make_unique<sim::Simulator>();
   stores::StoreConfig config =
       sized_store_config(options, /*for_cleaning=*/true);
-  Cluster cluster = stores::make_cluster(*sim, SystemKind::kEFactory, config);
-  auto* store = dynamic_cast<stores::EFactoryStore*>(cluster.store.get());
-  static_cast<void>(run_workload(*sim, cluster, options));
-  ASSERT_GE(store->server_stats().cleanings, 1u);
+  stores::World world{SystemKind::kEFactory, config};
+  auto& store = dynamic_cast<stores::EFactoryStore&>(world.store());
+  static_cast<void>(run_workload(world.sim, world.cluster, options));
+  ASSERT_GE(store.server_stats().cleanings, 1u);
 
   // Settle, then crash: every key must recover to a CRC-intact value.
-  for (int i = 0; i < 1000 && store->verify_queue_depth() > 0; ++i) {
-    sim->run_until(sim->now() + 100 * timeconst::kMicrosecond);
+  for (int i = 0; i < 1000 && store.verify_queue_depth() > 0; ++i) {
+    world.sim.run_until(world.sim.now() + 100 * timeconst::kMicrosecond);
   }
-  sim->run_until(sim->now() + 5 * timeconst::kMillisecond);
-  store->crash();
+  world.sim.run_until(world.sim.now() + 5 * timeconst::kMillisecond);
+  store.crash();
   Workload workload{options.workload};
   int missing = 0;
   for (std::uint64_t k = 0; k < options.workload.key_count; ++k) {
-    if (!store->recover_get(workload.key_at(k))) ++missing;
+    if (!store.recover_get(workload.key_at(k))) ++missing;
   }
   EXPECT_EQ(missing, 0);
-  sim.reset();
 }
 
 // ------------------------------------------------------------ determinism

@@ -69,15 +69,15 @@ TEST_P(MonotonicSweep, EFactoryReadsNeverTravelBackAcrossCrash) {
   StoreConfig config = testutil::small_config();
   config.crash_policy.eviction_probability = 0.0;  // harshest
   TestCluster tc{SystemKind::kEFactory, config};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = kKeys, .key_len = 32, .value_len = kVlen}};
 
-  auto writer = tc.cluster.make_client(testutil::hinted(32, kVlen));
-  auto reader = tc.cluster.make_client(testutil::hinted(32, kVlen));
+  KvClient& writer = tc.make_client(testutil::hinted(32, kVlen));
+  KvClient& reader = tc.make_client(testutil::hinted(32, kVlen));
   ReadLog log;
-  tc.sim.spawn(writer_loop(*writer, wl));
-  tc.sim.spawn(reader_loop(tc.sim, *reader, wl, log));
+  tc.sim.spawn(writer_loop(writer, wl));
+  tc.sim.spawn(reader_loop(tc.sim, reader, wl, log));
 
   const SimTime crash_at =
       30'000 + static_cast<SimTime>(GetParam()) * 53'077;
@@ -106,14 +106,14 @@ TEST(MonotonicContrast, ErdaBreaksTheSameProperty) {
     StoreConfig config = testutil::small_config();
     config.crash_policy.eviction_probability = 0.0;
     TestCluster tc{SystemKind::kErda, config};
-    auto& store = *dynamic_cast<ErdaStore*>(tc.cluster.store.get());
+    auto& store = dynamic_cast<ErdaStore&>(tc.store());
     workload::Workload wl{workload::WorkloadConfig{
         .key_count = kKeys, .key_len = 32, .value_len = kVlen}};
-    auto writer = tc.cluster.make_client(testutil::hinted(32, kVlen));
-    auto reader = tc.cluster.make_client(testutil::hinted(32, kVlen));
+    KvClient& writer = tc.make_client(testutil::hinted(32, kVlen));
+    KvClient& reader = tc.make_client(testutil::hinted(32, kVlen));
     ReadLog log;
-    tc.sim.spawn(writer_loop(*writer, wl));
-    tc.sim.spawn(reader_loop(tc.sim, *reader, wl, log));
+    tc.sim.spawn(writer_loop(writer, wl));
+    tc.sim.spawn(reader_loop(tc.sim, reader, wl, log));
     tc.sim.run_until(30'000 + static_cast<SimTime>(instant) * 53'077);
     store.crash();
     for (const auto& [k, newest_read] : log.newest_read) {

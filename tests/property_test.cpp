@@ -129,12 +129,12 @@ TEST_P(CrashMatrix, RecoveredValuesAreExactWrites) {
     }
   }(*tc.client, wl));
   tc.sim.run_until(15'000 + static_cast<SimTime>(p.instant) * 61'221);
-  tc.cluster.store->crash();
+  tc.store().crash();
 
   for (int k = 0; k < 6; ++k) {
     Expected<Bytes> got{Status{StatusCode::kInternal}};
     // P3: recovery must never throw.
-    ASSERT_NO_THROW(got = tc.cluster.store->recover_get(wl.key_at(k)));
+    ASSERT_NO_THROW(got = tc.store().recover_get(wl.key_at(k)));
     if (got.has_value()) {
       // P2: exact bytes of some write of THIS key.
       ASSERT_EQ(got->size(), 512u);
@@ -156,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryFuzz, ::testing::Range(0, 8));
 TEST_P(RecoveryFuzz, GarbageNeverCrashesRecovery) {
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(32, 256)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 8, .key_len = 32, .value_len = 256}};
   for (int k = 0; k < 8; ++k) {
@@ -225,13 +225,13 @@ TEST_P(PlacementSweep, DurableAtAckWithShuffledPlacement) {
   tc.run_until_done([&] { return done; });
 
   if (GetParam() == SystemKind::kEFactory) {
-    auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+    auto& store = dynamic_cast<EFactoryStore&>(tc.store());
     tc.run_until_done([&] { return store.verify_queue_depth() == 0; });
     tc.settle();
   }
-  tc.cluster.store->crash();
+  tc.store().crash();
   for (const auto& [k, v] : acked) {
-    const Expected<Bytes> got = tc.cluster.store->recover_get(wl.key_at(k));
+    const Expected<Bytes> got = tc.store().recover_get(wl.key_at(k));
     ASSERT_TRUE(got.has_value()) << to_string(GetParam()) << " key " << k;
     if (GetParam() != SystemKind::kEFactory) {
       // Hard durable-at-ack systems must recover the exact acked version.

@@ -22,7 +22,7 @@ INSTANTIATE_TEST_SUITE_P(CrashInstants, RestartMidCleaning,
 TEST_P(RestartMidCleaning, FullRestartServesEveryKey) {
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(32, 512)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 24, .key_len = 32, .value_len = 512}};
   for (int k = 0; k < 24; ++k) {
@@ -45,9 +45,9 @@ TEST_P(RestartMidCleaning, FullRestartServesEveryKey) {
   EXPECT_FALSE(store.clients_use_rpc());
 
   // The restarted server serves reads AND can clean again.
-  auto client = tc.cluster.make_client(testutil::hinted(32, 512));
+  KvClient& client = tc.make_client(testutil::hinted(32, 512));
   for (int k = 0; k < 24; ++k) {
-    const Expected<Bytes> got = tc.get_sync(*client, wl.key_at(k));
+    const Expected<Bytes> got = tc.get_sync(client, wl.key_at(k));
     ASSERT_TRUE(got.has_value()) << "key " << k;
     EXPECT_EQ(*got, wl.value_for(k, 1));
   }
@@ -56,14 +56,14 @@ TEST_P(RestartMidCleaning, FullRestartServesEveryKey) {
   tc.run_until_done([&] { return !store.cleaning_active(); });
   EXPECT_EQ(store.server_stats().cleanings, rounds_before + 1);
   for (int k = 0; k < 24; ++k) {
-    EXPECT_TRUE(tc.get_sync(*client, wl.key_at(k)).has_value());
+    EXPECT_TRUE(tc.get_sync(client, wl.key_at(k)).has_value());
   }
 }
 
 TEST(RestartEmpty, RecoverOnEmptyStoreIsCleanNoop) {
   TestCluster tc{SystemKind::kEFactory,
                  testutil::small_config(), testutil::hinted(32, 64)};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   store.crash();
   const EFactoryStore::RecoveryReport report = store.recover();
   EXPECT_EQ(report.entries_scanned, 0u);
@@ -86,7 +86,7 @@ TEST(StatsReport, RendersEveryCounterLabel) {
   ASSERT_TRUE(tc.get_sync(key).has_value());
 
   std::ostringstream os;
-  print_cluster_report(os, *tc.cluster.store, tc.client->metrics());
+  print_cluster_report(os, tc.store(), tc.client->metrics());
   const std::string out = os.str();
   for (const char* label :
        {"requests handled", "allocations", "persist operations",
@@ -105,11 +105,11 @@ TEST(StatsReport, CountersReflectActivity) {
                     .is_ok());
   }
   tc.settle();
-  const ServerStats& s = tc.cluster.store->server_stats();
+  const ServerStats& s = tc.store().server_stats();
   EXPECT_EQ(s.requests, 5u);
   EXPECT_EQ(s.allocs, 5u);
   EXPECT_GE(s.persists, 5u);
-  EXPECT_GE(tc.cluster.store->arena().stats().dma_writes, 5u);
+  EXPECT_GE(tc.store().arena().stats().dma_writes, 5u);
 }
 
 }  // namespace

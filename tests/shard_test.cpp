@@ -14,6 +14,7 @@
 #include "fault/fault.hpp"
 #include "stores/efactory.hpp"
 #include "stores/sharding.hpp"
+#include "store_test_util.hpp"
 #include "workload/ycsb.hpp"
 
 namespace efac::stores {
@@ -102,50 +103,11 @@ stores::StoreConfig small_store() {
   return config;
 }
 
-/// A started sharded cluster plus one routed client and synchronous
-/// drivers (the sharded sibling of testutil::TestCluster).
-struct ShardBed {
-  sim::Simulator sim;
-  ShardedCluster cluster;
-  std::unique_ptr<KvClient> client;
-
-  explicit ShardBed(ClusterConfig config,
-                    ClientOptions client_options = {},
+/// A started sharded TestCluster plus batch drivers.
+struct ShardBed : testutil::TestCluster {
+  explicit ShardBed(ClusterConfig config, ClientOptions client_options = {},
                     SystemKind kind = SystemKind::kEFactory)
-      : cluster(make_sharded_cluster(sim, kind, std::move(config))) {
-    cluster.start();
-    client = cluster.make_client(client_options);
-  }
-
-  template <typename Pred>
-  void run_until_done(Pred done, SimDuration slice = timeconst::kMillisecond,
-                      int max_slices = 100'000) {
-    for (int i = 0; i < max_slices; ++i) {
-      if (done()) return;
-      sim.run_until(sim.now() + slice);
-    }
-    EFAC_CHECK_MSG(done(), "simulation did not converge");
-  }
-
-  Status put_sync(KvClient& c, Bytes key, Bytes value) {
-    std::optional<Status> result;
-    sim.spawn([](KvClient& cl, Bytes k, Bytes v,
-                 std::optional<Status>* out) -> sim::Task<void> {
-      *out = co_await cl.put(std::move(k), std::move(v));
-    }(c, std::move(key), std::move(value), &result));
-    run_until_done([&] { return result.has_value(); });
-    return *result;
-  }
-
-  Expected<Bytes> get_sync(KvClient& c, Bytes key) {
-    std::optional<Expected<Bytes>> result;
-    sim.spawn([](KvClient& cl, Bytes k,
-                 std::optional<Expected<Bytes>>* out) -> sim::Task<void> {
-      out->emplace(co_await cl.get(std::move(k)));
-    }(c, std::move(key), &result));
-    run_until_done([&] { return result.has_value(); });
-    return *result;
-  }
+      : TestCluster(kind, std::move(config), std::move(client_options)) {}
 
   std::vector<Status> put_batch_sync(std::vector<KvClient::PutOp> ops) {
     std::optional<std::vector<Status>> result;
@@ -208,10 +170,10 @@ TEST(ShardedClusterTest, SingleShardClientIsThePlainProtocolClient) {
   config.store = small_store();
   ShardBed bed{std::move(config), hinted_options()};
   // Bit-identity depends on there being NO wrapper in the path.
-  EXPECT_EQ(dynamic_cast<ShardedKvClient*>(bed.client.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<ShardedKvClient*>(bed.client), nullptr);
 
   ShardBed sharded{four_shards(), hinted_options()};
-  auto* routed = dynamic_cast<ShardedKvClient*>(sharded.client.get());
+  auto* routed = dynamic_cast<ShardedKvClient*>(sharded.client);
   ASSERT_NE(routed, nullptr);
   EXPECT_EQ(routed->num_shards(), 4u);
 }
@@ -238,7 +200,7 @@ TEST(ShardedClusterTest, CrossShardBatchSplitRoundTrips) {
 
   // Every shard served part of the batch…
   for (std::size_t s = 0; s < bed.cluster.num_shards(); ++s) {
-    EXPECT_GT(bed.cluster.store(s).server_stats().requests, 0u)
+    EXPECT_GT(bed.store(s).server_stats().requests, 0u)
         << "shard " << s;
   }
   // …and the routed get_batch reassembles the values in order.
@@ -298,10 +260,10 @@ TEST(ShardedClusterTest, PartialShardFaultReentersRetryTail) {
     EXPECT_TRUE(statuses[i].is_ok()) << "member " << i;
   }
   // The faulted shard actually fired, the others never armed.
-  EXPECT_GT(bed.cluster.store(1).injector().fires(fault::Site::kWriteTorn),
+  EXPECT_GT(bed.store(1).injector().fires(fault::Site::kWriteTorn),
             0u);
   for (const std::size_t s : {0u, 2u, 3u}) {
-    EXPECT_FALSE(bed.cluster.store(s).injector().enabled()) << "shard " << s;
+    EXPECT_FALSE(bed.store(s).injector().enabled()) << "shard " << s;
   }
   // Recovery went through the retry engine, not through luck.
   EXPECT_GE(bed.client->stats().retries, 1u);
@@ -325,7 +287,7 @@ TEST(ShardedClusterTest, ShardCrashLeavesSiblingsServing) {
   bed.drain_verifiers();
 
   constexpr std::uint32_t kVictim = 2;
-  bed.cluster.store(kVictim).crash();
+  bed.store(kVictim).crash();
 
   // Keys owned by the surviving shards keep serving while the victim is
   // down — shard failure is not cluster failure.
@@ -341,10 +303,10 @@ TEST(ShardedClusterTest, ShardCrashLeavesSiblingsServing) {
 
   // Online recovery of the victim restores full-cluster service: a fresh
   // routed client reads every key, including the recovered shard's.
-  ASSERT_TRUE(bed.cluster.store(kVictim).restart());
-  auto fresh = bed.cluster.make_client(hinted_options());
+  ASSERT_TRUE(bed.store(kVictim).restart());
+  KvClient& fresh = bed.make_client(hinted_options());
   for (int k = 0; k < 32; ++k) {
-    const Expected<Bytes> got = bed.get_sync(*fresh, wl.key_at(k));
+    const Expected<Bytes> got = bed.get_sync(fresh, wl.key_at(k));
     ASSERT_TRUE(got.has_value()) << "key " << k;
     EXPECT_EQ(*got, wl.value_for(k, 1)) << "key " << k;
   }
@@ -360,7 +322,7 @@ TEST(ShardedClusterTest, FlightRecorderTracksCarryShardPrefixes) {
   ShardBed bed{std::move(config), hinted_options()};
 
   for (std::size_t s = 0; s < bed.cluster.num_shards(); ++s) {
-    trace::EventLog* log = bed.cluster.store(s).trace_log();
+    trace::EventLog* log = bed.store(s).trace_log();
     ASSERT_NE(log, nullptr) << "shard " << s;
     const std::string prefix = "s" + std::to_string(s) + "/";
     ASSERT_FALSE(log->tracks().empty()) << "shard " << s;

@@ -195,14 +195,13 @@ TEST(Task, DetachedExceptionBeforeFirstSuspendSurfacesFromSpawn) {
 
 TEST(Task, AbandonedActorsAreDestroyedWithSimulator) {
   // An actor parked on a long delay must not leak when the simulator is
-  // destroyed (exercised under ASan in CI-like runs).
-  auto sim = std::make_unique<Simulator>();
-  sim->spawn([](Simulator& s) -> Task<void> {
+  // destroyed at the end of this scope (exercised under ASan in CI).
+  Simulator sim;
+  sim.spawn([](Simulator& s) -> Task<void> {
     for (;;) co_await delay(s, 1000);
-  }(*sim));
-  sim->run_until(5000);
-  EXPECT_EQ(sim->active_root_tasks(), 1u);
-  EXPECT_NO_THROW(sim.reset());
+  }(sim));
+  sim.run_until(5000);
+  EXPECT_EQ(sim.active_root_tasks(), 1u);
 }
 
 // ---------------------------------------------------------------- OneShot

@@ -1,11 +1,11 @@
-// Shared helpers for store-level tests: a self-contained cluster plus
+// Shared helpers for store-level tests: a self-contained World plus
 // synchronous wrappers that drive the simulator until an async op resolves.
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <utility>
 
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "workload/ycsb.hpp"
 
 namespace efac::testutil {
@@ -24,18 +24,24 @@ inline stores::ClientOptions hinted(std::size_t klen, std::size_t vlen) {
   return options;
 }
 
-/// A started single-system cluster with one default client.
-struct TestCluster {
-  sim::Simulator sim;
-  stores::Cluster cluster;
-  std::unique_ptr<stores::KvClient> client;
+/// A started World with one default client.
+struct TestCluster : stores::World {
+  stores::KvClient* client;
 
   explicit TestCluster(stores::SystemKind kind,
                        stores::StoreConfig config = small_config(),
                        stores::ClientOptions client_options = {})
-      : cluster(stores::make_cluster(sim, kind, config)) {
-    cluster.start();
-    client = cluster.make_client(client_options);
+      : World(kind, std::move(config)) {
+    start();
+    client = &make_client(client_options);
+  }
+
+  /// Sharded variant: `client` is the routed client.
+  TestCluster(stores::SystemKind kind, stores::ClusterConfig config,
+              stores::ClientOptions client_options = {})
+      : World(kind, std::move(config)) {
+    start();
+    client = &make_client(client_options);
   }
 
   /// Run the simulation in bounded slices until `done` holds. Background

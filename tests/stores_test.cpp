@@ -69,16 +69,16 @@ TEST_P(AllSystems, MissingKeyIsNotFound) {
 TEST_P(AllSystems, ManyKeysManyClients) {
   TestCluster tc{GetParam(),
                  testutil::small_config(), testutil::hinted(32, 64)};
-  auto c2 = tc.cluster.make_client(testutil::hinted(32, 64));
+  KvClient& c2 = tc.make_client(testutil::hinted(32, 64));
   workload::Workload wl{workload::WorkloadConfig{
       .mix = workload::Mix::kUpdateOnly, .key_count = 40, .value_len = 64}};
   for (std::uint64_t k = 0; k < 40; ++k) {
-    KvClient& c = (k % 2 == 0) ? *tc.client : *c2;
+    KvClient& c = (k % 2 == 0) ? *tc.client : c2;
     EXPECT_TRUE(tc.put_sync(c, wl.key_at(k), wl.value_for(k, 1)).is_ok());
   }
   tc.settle();
   for (std::uint64_t k = 0; k < 40; ++k) {
-    KvClient& c = (k % 3 == 0) ? *tc.client : *c2;
+    KvClient& c = (k % 3 == 0) ? *tc.client : c2;
     const Expected<Bytes> got = tc.get_sync(c, wl.key_at(k));
     ASSERT_TRUE(got.has_value()) << "key " << k;
     EXPECT_EQ(*got, wl.value_for(k, 1));
@@ -112,7 +112,7 @@ TEST_P(AllSystems, PoolExhaustionSurfacesAsErrorOrTriggersCleaning) {
     // Log cleaning reclaims stale versions, so same-key overwrites never
     // exhaust the pool.
     EXPECT_TRUE(last.is_ok());
-    EXPECT_GE(tc.cluster.store->server_stats().cleanings, 1u);
+    EXPECT_GE(tc.store().server_stats().cleanings, 1u);
   } else if (GetParam() == SystemKind::kInPlace) {
     // In-place overwrites of one key reuse its region: no growth at all.
     EXPECT_TRUE(last.is_ok());
@@ -126,11 +126,11 @@ TEST_P(AllSystems, PoolExhaustionSurfacesAsErrorOrTriggersCleaning) {
 struct EFactoryFixture : ::testing::Test {
   TestCluster tc{SystemKind::kEFactory};
   EFactoryStore& store() {
-    return *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+    return dynamic_cast<EFactoryStore&>(tc.store());
   }
   // Per-test geometries differ, so each test swaps in a hinted client.
   void hint(std::size_t klen, std::size_t vlen) {
-    tc.client = tc.cluster.make_client(testutil::hinted(klen, vlen));
+    tc.client = &tc.make_client(testutil::hinted(klen, vlen));
   }
 };
 
@@ -180,7 +180,7 @@ TEST_F(EFactoryFixture, ReadOfUnverifiedObjectFallsBackToRpc) {
   // on a second client.
   const Bytes key = to_bytes("fallback-key-00000000000000000000");
   const Bytes value = make_value(4096, 5);
-  auto reader = tc.cluster.make_client(testutil::hinted(key.size(), value.size()));
+  KvClient& reader = tc.make_client(testutil::hinted(key.size(), value.size()));
   hint(key.size(), value.size());
 
   bool put_done = false;
@@ -195,14 +195,14 @@ TEST_F(EFactoryFixture, ReadOfUnverifiedObjectFallsBackToRpc) {
     // Busy-wait (virtually) until the PUT acked, then read immediately.
     while (!*put_flag) co_await sim::delay(s, 200);
     out->emplace(co_await r.get(std::move(k)));
-  }(tc.sim, *reader, key, &put_done, &got));
+  }(tc.sim, reader, key, &put_done, &got));
   tc.run_until_done([&] { return got.has_value(); });
 
   ASSERT_TRUE(got->has_value()) << got->status().to_string();
   EXPECT_EQ(**got, value);
   // The value was correct even though durability had not yet been flagged
   // — the RPC path performed the selective durability guarantee.
-  EXPECT_GE(reader->stats().gets_rpc_path + reader->stats().gets_pure_rdma,
+  EXPECT_GE(reader.stats().gets_rpc_path + reader.stats().gets_pure_rdma,
             1u);
 }
 
@@ -225,7 +225,7 @@ TEST_F(EFactoryFixture, RpcGetHitsDurabilityFlagFastPath) {
   const Bytes value = make_value(128, 4);
   TestCluster no_hr{SystemKind::kEFactoryNoHr, testutil::small_config(),
                     testutil::hinted(key.size(), value.size())};
-  auto& st = *dynamic_cast<EFactoryStore*>(no_hr.cluster.store.get());
+  auto& st = dynamic_cast<EFactoryStore&>(no_hr.store());
   ASSERT_TRUE(no_hr.put_sync(key, value).is_ok());
   no_hr.run_until_done([&] { return st.verify_queue_depth() == 0; });
   no_hr.settle();
@@ -280,7 +280,7 @@ TEST(ImmStoreTest, PutIsDurableAtAck) {
                  testutil::hinted(key.size(), value.size())};
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
   // No settling: the ack itself is the durability point.
-  auto& store = *dynamic_cast<ImmStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ImmStore&>(tc.store());
   store.crash();
   const Expected<Bytes> got = store.recover_get(key);
   ASSERT_TRUE(got.has_value()) << got.status().to_string();
@@ -295,7 +295,7 @@ TEST(SawStoreTest, PutIsDurableAtAck) {
   TestCluster tc{SystemKind::kSaw, testutil::small_config(),
                  testutil::hinted(key.size(), value.size())};
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
-  auto& store = *dynamic_cast<SawStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<SawStore&>(tc.store());
   store.crash();
   const Expected<Bytes> got = store.recover_get(key);
   ASSERT_TRUE(got.has_value()) << got.status().to_string();
@@ -308,7 +308,7 @@ TEST(SawStoreTest, MetadataExposedOnlyAfterDurability) {
   const Bytes key = to_bytes("saw-ordering-key-0000000000000000");
   TestCluster tc{SystemKind::kSaw,
                  testutil::small_config(), testutil::hinted(key.size(), 64)};
-  auto& store = *dynamic_cast<SawStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<SawStore&>(tc.store());
 
   rpc::Connection conn{tc.sim, store.fabric(), store.node(),
                        store.directory(), store.next_qp_id()};
@@ -346,7 +346,7 @@ TEST(ErdaStoreTest, TornHeadFallsBackToPreviousVersion) {
   const Bytes key = to_bytes("erda-torn-key-0000000000000000000");
   TestCluster tc{SystemKind::kErda,
                  testutil::small_config(), testutil::hinted(key.size(), 256)};
-  auto& store = *dynamic_cast<ErdaStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ErdaStore&>(tc.store());
   const Bytes v1 = make_value(256, 1);
   ASSERT_TRUE(tc.put_sync(key, v1).is_ok());
 
@@ -374,7 +374,7 @@ TEST(ForcaStoreTest, ServerVerifiesEveryRead) {
   const Bytes value = make_value(512, 3);
   TestCluster tc{SystemKind::kForca, testutil::small_config(),
                  testutil::hinted(key.size(), value.size())};
-  auto& store = *dynamic_cast<ForcaStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ForcaStore&>(tc.store());
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
   tc.settle();
   const std::uint64_t before = store.server_stats().crc_checks;
@@ -389,7 +389,7 @@ TEST(ForcaStoreTest, ReadPathPersistsData) {
   const Bytes value = make_value(256, 4);
   TestCluster tc{SystemKind::kForca, testutil::small_config(),
                  testutil::hinted(key.size(), value.size())};
-  auto& store = *dynamic_cast<ForcaStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<ForcaStore&>(tc.store());
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
   tc.settle();
   ASSERT_TRUE(tc.get_sync(key).has_value());
@@ -408,7 +408,7 @@ TEST(RpcStoreTest, PutIsDurableAtAck) {
   TestCluster tc{SystemKind::kRpc, testutil::small_config(),
                  testutil::hinted(key.size(), value.size())};
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
-  auto& store = *dynamic_cast<RpcStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<RpcStore&>(tc.store());
   store.crash();
   const Expected<Bytes> got = store.recover_get(key);
   ASSERT_TRUE(got.has_value());
@@ -425,7 +425,7 @@ TEST(CaStoreTest, NoPersistenceGuarantee) {
   TestCluster tc{SystemKind::kCaNoPersist, testutil::small_config(),
                  testutil::hinted(key.size(), value.size())};
   ASSERT_TRUE(tc.put_sync(key, value).is_ok());
-  auto& store = *dynamic_cast<CaStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<CaStore&>(tc.store());
   nvm::CrashPolicy nothing_survives{.eviction_probability = 0.0};
   store.arena().crash(nothing_survives);
   const Expected<Bytes> got = store.recover_get(key);

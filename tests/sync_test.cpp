@@ -1,6 +1,7 @@
 // Edge-case coverage for the coroutine sync primitives: OneShot re-arming
 // and its single-consumer contract, Gate broadcast corner cases, Semaphore
-// FIFO hand-off fairness, and Channel teardown with queued items.
+// FIFO hand-off fairness, Channel teardown with queued items, and
+// Simulator::shutdown() with frames whose destructors schedule events.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -189,6 +190,56 @@ TEST(Channel, PopBeforePushHandsOffDirectly) {
   sim.run();
   EXPECT_EQ(got, (std::vector<int>{99}));
   EXPECT_EQ(ch.size(), 0u);  // handed off, never queued
+}
+
+// ---------------------------------------------------------------- shutdown
+
+/// RAII object whose destructor talks to the simulator, as an abandoned
+/// SemaphoreLock does.
+struct SchedulesOnDestroy {
+  Simulator& sim;
+  bool* fired;
+  ~SchedulesOnDestroy() {
+    sim.call_after(0, [f = fired] { *f = true; });
+  }
+};
+
+TEST(Shutdown, IsIdempotentAndDropsEventsScheduledByDyingFrames) {
+  Simulator sim;
+  Semaphore sem{sim, 1};
+  bool fired = false;
+  int resumed = 0;
+  // The holder parks with the permit and an object that schedules on
+  // destruction; two waiters queue behind it.
+  sim.spawn([](Simulator& s, Semaphore& sm, bool* f,
+               int* r) -> Task<void> {
+    SemaphoreLock permit = co_await SemaphoreLock::acquire(sm);
+    const SchedulesOnDestroy on_destroy{s, f};
+    co_await delay(s, 1'000'000);
+    ++*r;
+  }(sim, sem, &fired, &resumed));
+  for (int i = 0; i < 2; ++i) {
+    sim.spawn([](Semaphore& sm, int* r) -> Task<void> {
+      co_await sm.acquire();
+      ++*r;
+    }(sem, &resumed));
+  }
+  sim.run_until(100);
+  ASSERT_EQ(sem.waiting(), 2u);
+  ASSERT_EQ(sim.active_root_tasks(), 3u);
+  ASSERT_EQ(sim.pending_events(), 1u);
+
+  // Destroying the holder releases its permit (a hand-off that schedules a
+  // waiter's resume) and runs on_destroy's call_after: both are dropped.
+  sim.shutdown();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.active_root_tasks(), 0u);
+  EXPECT_EQ(sem.waiting(), 0u);
+  sim.shutdown();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(resumed, 0);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/telemetry.hpp"
 #include "sim/simulator.hpp"
-#include "stores/factory.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::metrics {
@@ -446,23 +446,19 @@ workload::RunOptions e2e_options() {
 
 TelemetrySnapshot e2e_snapshot() {
   const workload::RunOptions options = e2e_options();
-  sim::Simulator sim;
-  stores::Cluster cluster =
-      stores::make_cluster(sim, SystemKind::kEFactory,
-                           workload::sized_store_config(options));
-  workload::run_workload(sim, cluster, options);
-  TelemetrySampler* sampler = cluster.store->telemetry();
+  stores::World world{SystemKind::kEFactory,
+                      workload::sized_store_config(options)};
+  workload::run_workload(world.sim, world.cluster, options);
+  TelemetrySampler* sampler = world.store().telemetry();
   EXPECT_NE(sampler, nullptr);
   return sampler->snapshot("e2e");
 }
 
 TEST(TelemetryEndToEnd, DisabledByDefault) {
-  sim::Simulator sim;
-  stores::Cluster cluster =
-      stores::make_cluster(sim, SystemKind::kEFactory, {});
-  EXPECT_EQ(cluster.store->telemetry(), nullptr);
+  stores::World world{SystemKind::kEFactory, stores::StoreConfig{}};
+  EXPECT_EQ(world.store().telemetry(), nullptr);
   // Disabled = no sampler accounting counters either.
-  EXPECT_EQ(cluster.store->metrics().find_counter("telemetry.samples"),
+  EXPECT_EQ(world.store().metrics().find_counter("telemetry.samples"),
             nullptr);
 }
 

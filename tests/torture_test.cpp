@@ -51,7 +51,7 @@ TEST(InPlaceStoreTest, BasicRoundtripWorks) {
 TEST(InPlaceStoreTest, OverwritesReuseTheSameRegion) {
   TestCluster tc{SystemKind::kInPlace,
                  testutil::small_config(), testutil::hinted(32, 128)};
-  auto& store = *dynamic_cast<InPlaceStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<InPlaceStore&>(tc.store());
   const Bytes key = to_bytes("inplace-key-000000000000000000000");
   ASSERT_TRUE(tc.put_sync(key, tagged_value(128, 1, 1)).is_ok());
   const std::size_t used_after_first = store.pool_a().used();
@@ -79,7 +79,7 @@ TEST(InPlaceStoreTest, CrashMidOverwriteTearsTheOnlyCopy) {
     if (kind == SystemKind::kInPlace) {
       // Give InPlace the same head start: persist v1 explicitly (be
       // generous to the weaker system; it still loses).
-      auto& store = *dynamic_cast<InPlaceStore*>(tc->cluster.store.get());
+      auto& store = dynamic_cast<InPlaceStore&>(tc->store());
       const auto slot = store.dir().find(kv::hash_key(wl.key_at(0)));
       store.arena().flush(store.dir().read(*slot).current(),
                           kv::ObjectLayout::total_size(32, 4096));
@@ -91,19 +91,19 @@ TEST(InPlaceStoreTest, CrashMidOverwriteTearsTheOnlyCopy) {
                                        tagged_value(4096, 0, 2)));
     }(*tc->client, wl));
     tc->sim.run_until(tc->sim.now() + 5'500);  // WRITE in flight
-    tc->cluster.store->crash();
+    tc->store().crash();
     return std::make_pair(std::move(tc), wl.key_at(0));
   };
 
   {
     auto [tc, key] = run(SystemKind::kInPlace);
-    const Expected<Bytes> got = tc->cluster.store->recover_get(key);
+    const Expected<Bytes> got = tc->store().recover_get(key);
     EXPECT_FALSE(got.has_value())
         << "in-place overwrite should have torn the only copy";
   }
   {
     auto [tc, key] = run(SystemKind::kEFactory);
-    const Expected<Bytes> got = tc->cluster.store->recover_get(key);
+    const Expected<Bytes> got = tc->store().recover_get(key);
     ASSERT_TRUE(got.has_value()) << got.status().to_string();
     EXPECT_EQ(*got, tagged_value(4096, 0, 1));  // previous intact version
   }
@@ -117,7 +117,7 @@ TEST(Torture, MixedOpsCleaningCrashRestartAudit) {
   StoreConfig config = testutil::small_config();
   config.pool_bytes = 2 * sizeconst::kMiB;  // tight: natural cleaning too
   TestCluster tc{SystemKind::kEFactory, config};
-  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = kKeys, .key_len = 32, .value_len = kVlen}};
 
@@ -126,9 +126,8 @@ TEST(Torture, MixedOpsCleaningCrashRestartAudit) {
   int finished_actors = 0;
   constexpr int kActors = 6;
 
-  std::vector<std::unique_ptr<KvClient>> clients;
   for (int actor = 0; actor < kActors; ++actor) {
-    clients.push_back(tc.cluster.make_client(testutil::hinted(32, kVlen)));
+    KvClient& client = tc.make_client(testutil::hinted(32, kVlen));
     tc.sim.spawn([](sim::Simulator& s, KvClient& c, workload::Workload& w,
                     int id, std::map<int, int>* truth,
                     int* done) -> sim::Task<void> {
@@ -169,7 +168,7 @@ TEST(Torture, MixedOpsCleaningCrashRestartAudit) {
         co_await sim::delay(s, rng.next_below(2'000));
       }
       ++*done;
-    }(tc.sim, *clients.back(), wl, actor, &acked, &finished_actors));
+    }(tc.sim, client, wl, actor, &acked, &finished_actors));
   }
 
   // Force extra cleaning rounds while the actors run.
@@ -190,9 +189,9 @@ TEST(Torture, MixedOpsCleaningCrashRestartAudit) {
   const EFactoryStore::RecoveryReport report = store.recover();
   EXPECT_EQ(report.keys_lost, 0u);
 
-  auto auditor = tc.cluster.make_client(testutil::hinted(32, kVlen));
+  KvClient& auditor = tc.make_client(testutil::hinted(32, kVlen));
   for (const auto& [k, version] : acked) {
-    const Expected<Bytes> got = tc.get_sync(*auditor, wl.key_at(k));
+    const Expected<Bytes> got = tc.get_sync(auditor, wl.key_at(k));
     if (version < 0) {
       EXPECT_FALSE(got.has_value()) << "deleted key " << k << " came back";
     } else {

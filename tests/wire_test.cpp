@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "stores/wire.hpp"
+#include "stores/world.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::stores {
@@ -151,10 +152,9 @@ TEST(RunnerSmoke, TinyRunProducesCoherentResult) {
   options.workload.mix = Mix::kWriteIntensive;
   options.clients = 2;
   options.ops_per_client = 25;
-  sim::Simulator sim;
-  stores::Cluster cluster = stores::make_cluster(
-      sim, stores::SystemKind::kEFactory, sized_store_config(options));
-  const RunResult result = run_workload(sim, cluster, options);
+  stores::World world{stores::SystemKind::kEFactory,
+                      sized_store_config(options)};
+  const RunResult result = run_workload(world.sim, world.cluster, options);
   EXPECT_EQ(result.ops, 50u);
   EXPECT_EQ(result.puts + result.gets, 50u);
   EXPECT_EQ(result.put_latency.count(), result.puts);
