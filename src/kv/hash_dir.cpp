@@ -1,5 +1,6 @@
 #include "kv/hash_dir.hpp"
 
+#include <array>
 #include <bit>
 
 #include "common/assert.hpp"
@@ -49,7 +50,9 @@ Expected<std::size_t> HashDir::find_or_claim(std::uint64_t key_hash,
 
 HashDir::Entry HashDir::read(std::size_t slot) {
   EFAC_CHECK(slot < buckets_);
-  return decode(arena_->load(entry_offset(slot), kEntrySize));
+  std::array<std::uint8_t, kEntrySize> raw;
+  arena_->load(entry_offset(slot), raw);
+  return decode(raw);
 }
 
 void HashDir::write(std::size_t slot, const Entry& entry) {

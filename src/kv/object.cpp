@@ -1,5 +1,7 @@
 #include "kv/object.hpp"
 
+#include <array>
+
 #include "common/assert.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -47,8 +49,9 @@ void ObjectRef::write_header(const ObjectMeta& meta) {
 }
 
 ObjectMeta ObjectRef::read_header() const {
-  return ObjectLayout::decode_header(
-      arena_->load(offset_, ObjectLayout::kHeaderSize));
+  std::array<std::uint8_t, ObjectLayout::kHeaderSize> raw;
+  arena_->load(offset_, raw);
+  return ObjectLayout::decode_header(raw);
 }
 
 void ObjectRef::write_key(BytesView key) {

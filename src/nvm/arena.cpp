@@ -220,7 +220,9 @@ void Arena::resolve_dma(SimTime now) {
       continue;
     }
     // Partially arrived: apply chunks whose arrival instant has passed.
-    std::size_t arrived = 0;
+    // Arrival is non-decreasing in the chunk index and the clock never
+    // runs backwards, so the chunks already applied need no re-check.
+    std::size_t arrived = p.applied_chunks;
     while (arrived < n && chunk_arrival(p.start, p.end, arrived, n) <= now) {
       ++arrived;
     }

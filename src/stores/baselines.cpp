@@ -12,33 +12,6 @@ namespace efac::stores {
 
 namespace {
 
-constexpr int kMaxChain = 32;
-
-/// All plausible versions reachable from a HashDir entry, newest first.
-std::vector<MemOffset> dir_versions(nvm::Arena& arena, const StoreBase& store,
-                                    const kv::HashDir::Entry& entry) {
-  std::vector<MemOffset> out;
-  auto walk = [&](MemOffset head) {
-    int depth = 0;
-    MemOffset off = head;
-    while (off != 0 && depth++ < kMaxChain) {
-      if (!store.header_readable(off)) break;  // garbage pointer
-      if (std::find(out.begin(), out.end(), off) != out.end()) break;
-      const kv::ObjectMeta meta = kv::ObjectRef{arena, off}.read_header();
-      if (!store.object_span_ok(off, meta)) break;
-      out.push_back(off);
-      off = meta.pre_ptr;
-    }
-  };
-  walk(entry.off_old);
-  walk(entry.off_new);
-  std::sort(out.begin(), out.end(), [&](MemOffset a, MemOffset b) {
-    return kv::ObjectRef{arena, a}.read_header().write_time >
-           kv::ObjectRef{arena, b}.read_header().write_time;
-  });
-  return out;
-}
-
 /// Extract the value from a raw one-sided object read, validating identity.
 Expected<Bytes> value_from_raw(const Bytes& raw, std::size_t klen,
                                std::size_t vlen, std::uint64_t expect_hash) {
@@ -66,8 +39,9 @@ Expected<Bytes> recover_via_dir(nvm::Arena& arena, kv::HashDir& dir,
   const Expected<std::size_t> slot = dir.find(key_hash);
   if (!slot) return Status{StatusCode::kNotFound};
   const kv::HashDir::Entry entry = dir.read(*slot);
-  for (const MemOffset off : dir_versions(arena, store, entry)) {
-    kv::ObjectRef obj{arena, off};
+  for (const StoreBase::Version& v :
+       store.versions_newest_first(entry.off_old, entry.off_new)) {
+    kv::ObjectRef obj{arena, v.off};
     const kv::ObjectMeta meta = obj.read_header();
     if (!meta.valid || meta.key_hash != key_hash) continue;
     if (obj.verify_crc()) return obj.read_value(meta.klen, meta.vlen);

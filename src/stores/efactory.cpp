@@ -9,9 +9,6 @@ namespace efac::stores {
 
 namespace {
 
-/// Version-chain walk bound: guards against cycles from torn pointers.
-constexpr int kMaxChain = 32;
-
 StoreConfig with_efactory_defaults(StoreConfig config) {
   config.second_pool = true;                 // log cleaning needs a sibling
   config.recv_mode = RecvMode::kBatched;     // multiple receiving regions
@@ -258,32 +255,6 @@ sim::Task<void> EFactoryStore::handle_delete(rpc::ParsedRequest req) {
 
 // ------------------------------------------------------------------- GET
 
-std::vector<MemOffset> EFactoryStore::collect_versions(
-    const kv::HashDir::Entry& entry) const {
-  std::vector<MemOffset> out;
-  auto walk = [&](MemOffset head) {
-    int depth = 0;
-    MemOffset off = head;
-    while (off != 0 && depth++ < kMaxChain) {
-      if (!header_readable(off)) break;  // garbage pointer: stop the walk
-      if (std::find(out.begin(), out.end(), off) != out.end()) break;
-      const kv::ObjectMeta meta =
-          kv::ObjectRef{*arena_, off}.read_header();
-      if (!object_span_ok(off, meta)) break;
-      out.push_back(off);
-      off = meta.pre_ptr;
-    }
-  };
-  walk(working_of(entry));
-  walk(shadow_of(entry));
-  // Newest first: chains may interleave across pools during cleaning.
-  std::sort(out.begin(), out.end(), [&](MemOffset a, MemOffset b) {
-    return kv::ObjectRef{*arena_, a}.read_header().write_time >
-           kv::ObjectRef{*arena_, b}.read_header().write_time;
-  });
-  return out;
-}
-
 sim::Task<Expected<LocResponse>> EFactoryStore::locate_verified(
     std::uint64_t key_hash) {
   // Ok returns hand out only verified-durable locations; error returns
@@ -298,9 +269,11 @@ sim::Task<Expected<LocResponse>> EFactoryStore::locate_verified(
   }
 
   const kv::HashDir::Entry entry = dir_.read(*slot);
-  const std::vector<MemOffset> versions = collect_versions(entry);
+  const std::vector<Version> versions =
+      versions_newest_first(working_of(entry), shadow_of(entry));
   bool saw_torn = false;
-  for (const MemOffset off : versions) {
+  for (const Version& v : versions) {
+    const MemOffset off = v.off;
     kv::ObjectRef obj{*arena_, off};
     const kv::ObjectMeta meta = obj.read_header();
     if (!meta.valid || meta.key_hash != key_hash) continue;
@@ -718,8 +691,9 @@ Expected<Bytes> EFactoryStore::recover_get(BytesView key) {
   const Expected<std::size_t> slot = dir_.find(key_hash);
   if (!slot) return Status{StatusCode::kNotFound};
   const kv::HashDir::Entry entry = dir_.read(*slot);
-  for (const MemOffset off : collect_versions(entry)) {
-    kv::ObjectRef obj{*arena_, off};
+  for (const Version& v :
+       versions_newest_first(working_of(entry), shadow_of(entry))) {
+    kv::ObjectRef obj{*arena_, v.off};
     const kv::ObjectMeta meta = obj.read_header();
     if (!meta.valid || meta.key_hash != key_hash) continue;
     if (meta.tombstone) return Status{StatusCode::kNotFound, "deleted"};
@@ -758,8 +732,9 @@ EFactoryStore::RecoveryReport EFactoryStore::recover() {
     }
     bool kept = false;
     bool deleted = false;
-    for (const MemOffset off : collect_versions(entry)) {
-      kv::ObjectRef obj{*arena_, off};
+    for (const Version& v :
+         versions_newest_first(working_of(entry), shadow_of(entry))) {
+      kv::ObjectRef obj{*arena_, v.off};
       const kv::ObjectMeta meta = obj.read_header();
       if (!meta.valid || meta.key_hash != entry.key_hash) {
         ++report.versions_discarded;

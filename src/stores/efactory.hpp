@@ -158,10 +158,6 @@ class EFactoryStore final : public StoreBase {
   /// Wait until the object verifies or times out; returns verifiability.
   sim::Task<bool> await_verifiable(MemOffset off);
 
-  /// All plausible version offsets reachable from the entry, newest first.
-  [[nodiscard]] std::vector<MemOffset> collect_versions(
-      const kv::HashDir::Entry& entry) const;
-
   kv::HashDir dir_;
   std::deque<MemOffset> verify_queue_;
   /// Measured drain rate of the verifier, as an integer EWMA of the
