@@ -139,6 +139,60 @@ TEST(BatchAllocRpc, ImmBatchCostsOneRpcPlusImmediates) {
   EXPECT_EQ(store.server_stats().requests, before + 1 + 8);
 }
 
+// ------------------------------------------------------ duplicate keys
+
+// Duplicate keys of one put_batch are allocated at one server instant, so
+// their versions share a write_time. The later member is the chain head,
+// and both read paths must return it: the one-sided read follows the head,
+// and the RPC locate must rank the head first among same-instant versions.
+// Each key gets a different chain length above 16 versions, where the
+// locate's sort stops being a plain insertion sort.
+TEST(BatchDuplicateKeys, LaterMemberWinsOnRpcAndOneSidedReads) {
+  constexpr std::size_t kVlen = 64;
+  TestCluster tc{SystemKind::kEFactory, testutil::small_config(),
+                 testutil::hinted(32, kVlen)};
+  ClientOptions rpc_options = testutil::hinted(32, kVlen);
+  rpc_options.read_mode = ReadMode::kRpcOnly;
+  KvClient& rpc_reader = tc.make_client(rpc_options);
+  auto& store = dynamic_cast<EFactoryStore&>(tc.store());
+  workload::Workload wl{workload::WorkloadConfig{
+      .key_count = 64, .key_len = 32, .value_len = kVlen}};
+
+  for (int depth = 17; depth <= 30; ++depth) {
+    const Bytes key = wl.key_at(static_cast<std::uint64_t>(depth));
+    for (int v = 0; v < depth; ++v) {
+      ASSERT_TRUE(
+          tc.put_sync(key, make_value(kVlen, static_cast<std::uint8_t>(v)))
+              .is_ok());
+    }
+    bool done = false;
+    tc.sim.spawn([](KvClient& c, Bytes k, bool* flag) -> sim::Task<void> {
+      std::vector<KvClient::PutOp> ops;
+      ops.push_back({k, make_value(kVlen, 200)});
+      ops.push_back({k, make_value(kVlen, 201)});
+      for (const Status& s : co_await c.put_batch(std::move(ops))) {
+        EXPECT_TRUE(s.is_ok());
+      }
+      *flag = true;
+    }(*tc.client, key, &done));
+    tc.run_until_done([&] { return done; });
+    tc.run_until_done([&] { return store.verify_queue_depth() == 0; });
+    tc.settle();
+
+    // make_value's first byte is its tag: 201 is the later member.
+    const Expected<Bytes> via_rpc = tc.get_sync(rpc_reader, key);
+    ASSERT_TRUE(via_rpc.has_value()) << "depth " << depth;
+    EXPECT_EQ(via_rpc->front(), 201) << "RPC, depth " << depth;
+    EXPECT_TRUE(*via_rpc == make_value(kVlen, via_rpc->front()));
+    const Expected<Bytes> one_sided = tc.get_sync(key);
+    ASSERT_TRUE(one_sided.has_value()) << "depth " << depth;
+    EXPECT_EQ(one_sided->front(), 201) << "one-sided, depth " << depth;
+    EXPECT_TRUE(*one_sided == make_value(kVlen, one_sided->front()));
+  }
+  EXPECT_EQ(rpc_reader.stats().gets_rpc_path, 14u);
+  EXPECT_EQ(tc.client->stats().gets_pure_rdma, 14u);
+}
+
 // ------------------------------------------------- async surface basics
 
 TEST(AsyncSurface, CompletionsRedeemOutOfOrder) {

@@ -3,6 +3,9 @@
 // verification, durability flags, protocol stats).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "stores/baselines.hpp"
 #include "stores/efactory.hpp"
 #include "store_test_util.hpp"
@@ -413,6 +416,69 @@ TEST(RpcStoreTest, PutIsDurableAtAck) {
   const Expected<Bytes> got = store.recover_get(key);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, value);
+}
+
+// ---------------------------------------------------- version lookup order
+
+// Versions that share a write_time (duplicate keys of one put_batch,
+// cleaning copies) rank in walk order: down the first chain, then down the
+// second. The locate therefore tries the chain head, which one-sided reads
+// follow, before its same-instant siblings. 32 versions with ties at the
+// head, in the middle and across the two chains: more than 16, so the
+// sort runs its partitioning phase, not just an insertion sort.
+TEST(VersionOrder, TiesKeepWalkOrderWithinAndAcrossChains) {
+  TestCluster tc{SystemKind::kEFactory};
+  StoreBase& store = tc.store();
+  constexpr std::size_t kVlen = 8;
+  // Lay out one chain, head first, linked through pre_ptr.
+  auto lay_chain = [&](const std::vector<SimTime>& times) {
+    std::vector<MemOffset> offs;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const Expected<MemOffset> off =
+          store.pool_a().allocate(kv::ObjectLayout::total_size(0, kVlen));
+      EFAC_CHECK(off.has_value());
+      offs.push_back(*off);
+    }
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      kv::ObjectMeta meta;
+      meta.vlen = kVlen;
+      meta.key_hash = 42;
+      meta.write_time = times[i];
+      meta.pre_ptr = i + 1 < offs.size() ? offs[i + 1] : 0;
+      kv::ObjectRef{store.arena(), offs[i]}.write_header(meta);
+    }
+    return offs;
+  };
+  // First chain: 20 versions in same-instant pairs (1000, 1000, 990, ...).
+  // Second chain: 12 versions (1000, 980, ...) tying with the first
+  // chain's pairs at 1000, 980, 960, 940 and 920.
+  std::vector<SimTime> first_times;
+  std::vector<SimTime> second_times;
+  for (SimTime i = 0; i < 20; ++i) first_times.push_back(1000 - 10 * (i / 2));
+  for (SimTime j = 0; j < 12; ++j) second_times.push_back(1000 - 20 * j);
+  const std::vector<MemOffset> first = lay_chain(first_times);
+  const std::vector<MemOffset> second = lay_chain(second_times);
+
+  std::vector<StoreBase::Version> expected;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    expected.push_back({first[i], first_times[i]});
+  }
+  for (std::size_t j = 0; j < second.size(); ++j) {
+    expected.push_back({second[j], second_times[j]});
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const StoreBase::Version& a,
+                      const StoreBase::Version& b) {
+                     return a.write_time > b.write_time;
+                   });
+
+  const std::vector<StoreBase::Version> got =
+      store.versions_newest_first(first.front(), second.front());
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].off, expected[i].off) << "rank " << i;
+    EXPECT_EQ(got[i].write_time, expected[i].write_time) << "rank " << i;
+  }
 }
 
 // --------------------------------------------------------------------- CA
