@@ -18,11 +18,16 @@
 // suspended forever (e.g. a client loop cut short by an injected crash) is
 // destroyed by Simulator::shutdown(), which every harness runs before the
 // clients and stores die (see stores::World), so a span always closes into
-// a live tracer. Span names must outlive the span (use string literals).
-// A disabled tracer makes spans free apart from a branch.
+// a live tracer. Span names are string literals: the tracer caches each
+// name's histogram by the name's address and length, so a name's storage
+// must keep its characters for the tracer's lifetime. A disabled tracer
+// makes spans free apart from a branch.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/types.hpp"
@@ -45,13 +50,30 @@ class Tracer {
   [[nodiscard]] SimTime now() const noexcept { return sim_.now(); }
 
   /// Record a finished phase of `elapsed` virtual ns under "span.<name>"
-  /// (nothing while disabled).
+  /// (nothing while disabled). The histogram is created at the name's
+  /// first record, so creation order follows the order of first closes.
   void record(std::string_view name, SimDuration elapsed);
 
  private:
+  /// A span name by identity: the address and length of its characters.
+  struct NameKey {
+    const char* data;
+    std::size_t size;
+    bool operator==(const NameKey&) const = default;
+  };
+  struct NameKeyHash {
+    std::size_t operator()(const NameKey& k) const noexcept {
+      return std::hash<const char*>{}(k.data) ^ k.size;
+    }
+  };
+
   sim::Simulator& sim_;
   MetricsRegistry& registry_;
   bool enabled_;
+  /// Each recorded name's "span.<name>" histogram, so a close builds no
+  /// string and does no ordered-map lookup. The same text reached through
+  /// two addresses gets two entries pointing at one histogram.
+  std::unordered_map<NameKey, Histogram*, NameKeyHash> histograms_;
 };
 
 /// RAII phase marker. Opens at construction (captures sim.now()), records

@@ -247,6 +247,39 @@ TEST(Tracer, CancelledSpanRecordsNothing) {
   EXPECT_EQ(registry.find_histogram("span.abandoned"), nullptr);
 }
 
+TEST(Tracer, OneHistogramPerNameTextInFirstCloseOrder) {
+  sim::Simulator sim;
+  MetricsRegistry registry;
+  Tracer tracer{sim, registry};
+  // The same name text at two addresses.
+  const char first_copy[] = "shared";
+  const std::string second_copy = "shared";
+  ASSERT_NE(static_cast<const void*>(first_copy),
+            static_cast<const void*>(second_copy.data()));
+  {
+    Span opened_first{tracer, "late"};
+    Span cancelled{tracer, "never"};
+    {
+      Span a{tracer, first_copy};
+      Span b{tracer, std::string_view{second_copy}};
+    }
+    cancelled.cancel();
+  }
+  tracer.record(first_copy, 7);
+  tracer.record(second_copy, 9);
+
+  const Histogram* shared = registry.find_histogram("span.shared");
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->count(), 4u);
+  EXPECT_EQ(shared->sum(), 16u);
+  EXPECT_EQ(registry.find_histogram("span.never"), nullptr);
+  // Created at the first close, not when the span opened: "late" opened
+  // before "shared" but closed after it.
+  ASSERT_EQ(registry.histograms().size(), 2u);
+  EXPECT_EQ(registry.histograms()[0].name, "span.shared");
+  EXPECT_EQ(registry.histograms()[1].name, "span.late");
+}
+
 // ------------------------------------------------------------------ JSON
 
 /// A registry shaped like a real (small) bench export.

@@ -2,7 +2,10 @@
 // key/value determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
+#include <string>
 
 #include "workload/ycsb.hpp"
 
@@ -87,6 +90,30 @@ TEST(Workload, KeysAreFixedWidthAndUnique) {
     keys.insert(key);
   }
   EXPECT_EQ(keys.size(), 1000u);
+}
+
+TEST(Workload, KeysMatchTheFormattedShapeAtDigitBoundaries) {
+  const std::uint64_t indices[] = {0,
+                                   9,
+                                   10,
+                                   1'000'000'000'000'000ULL,
+                                   9'999'999'999'999'999ULL,
+                                   10'000'000'000'000'000ULL,
+                                   ~std::uint64_t{0}};
+  for (const std::size_t key_len : {12u, 19u, 20u, 32u}) {
+    Workload wl{WorkloadConfig{.key_len = key_len}};
+    for (const std::uint64_t index : indices) {
+      char head[32];
+      const int n = std::snprintf(head, sizeof(head), "user%016llu",
+                                  static_cast<unsigned long long>(index));
+      std::string expected(key_len, '.');
+      expected.replace(0, std::min<std::size_t>(n, key_len), head,
+                       std::min<std::size_t>(n, key_len));
+      const Bytes key = wl.key_at(index);
+      EXPECT_EQ(std::string(key.begin(), key.end()), expected)
+          << "key_len " << key_len << " index " << index;
+    }
+  }
 }
 
 TEST(Workload, ValuesAreDeterministicPerKeyVersion) {
