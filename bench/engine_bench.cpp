@@ -1,14 +1,16 @@
 // Engine microbenchmarks: *wall-clock* speed of the simulation engine
 // itself, unlike the figure benches which report virtual-time results.
 //
-// Three groups, exported to BENCH_engine.json (efac.bench.v1):
+// Four groups, exported to BENCH_engine.json (efac.bench.v1):
 //   engine/scheduler/* — events/sec for schedule/dispatch mixes
 //     (coroutine resumptions and small-capture callbacks, near-future
 //     deltas plus a far-timer fraction that exercises the heap fallback);
 //   engine/crc/*       — CRC32 GB/s per size class, dispatched kernel vs
 //     the portable software kernel;
 //   engine/fig9_style  — wall-clock of an end-to-end fig9-style eFactory
-//     run, the number that bounds every figure reproduction.
+//     run, the number that bounds every figure reproduction;
+//   engine/locate_chain — host ns and arena loads per eFactory RPC
+//     version lookup over a full-length version chain.
 //
 // `--smoke` shrinks every workload for CI: same coverage, minimal runtime.
 #include <chrono>
@@ -21,6 +23,7 @@
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "stores/efactory.hpp"
 #include "stores/world.hpp"
 
 namespace efac::bench {
@@ -200,6 +203,83 @@ void fig9_style(benchmark::State& state) {
   }
 }
 
+/// One eFactory key whose chain holds kMaxChain versions, read through the
+/// RPC path. Before every read the head's durability flag is cleared, so
+/// each locate walks and orders the whole chain and then CRC-verifies the
+/// head. Reports the host ns per locate (wall-clock, includes the RPC
+/// round trip) and the arena loads per locate (deterministic).
+void locate_chain(benchmark::State& state) {
+  constexpr std::size_t kKeyLen = 32;
+  constexpr std::size_t kValueLen = 256;
+  const std::size_t locates = g_smoke ? 500 : 50000;
+  for (auto _ : state) {
+    stores::StoreConfig config;
+    config.pool_bytes = 4 * sizeconst::kMiB;
+    config.hash_buckets = 1u << 12;
+    stores::World world{stores::SystemKind::kEFactory, config};
+    sim::Simulator& sim = world.sim;
+    world.start();
+    stores::ClientOptions options;
+    options.size_hint = {kKeyLen, kValueLen};
+    options.read_mode = stores::ReadMode::kRpcOnly;
+    stores::KvClient& client = world.make_client(options);
+    auto& store = dynamic_cast<stores::EFactoryStore&>(world.store());
+    const workload::Workload workload{workload::WorkloadConfig{
+        .key_count = 1, .key_len = kKeyLen, .value_len = kValueLen}};
+    const Bytes key = workload.key_at(0);
+
+    bool loaded = false;
+    sim.spawn([](stores::KvClient& c, const workload::Workload& w,
+                 bool* flag) -> sim::Task<void> {
+      for (int v = 0; v < stores::StoreBase::kMaxChain; ++v) {
+        const Status status = co_await c.put(
+            w.key_at(0), w.value_for(0, static_cast<std::uint64_t>(v)));
+        EFAC_CHECK(status.is_ok());
+      }
+      *flag = true;
+    }(client, workload, &loaded));
+    while (!loaded || store.verify_queue_depth() > 0) {
+      sim.run_until(sim.now() + 100 * timeconst::kMicrosecond);
+    }
+    const Expected<std::size_t> slot = store.dir().find(kv::hash_key(key));
+    EFAC_CHECK(slot.has_value());
+    const kv::ObjectRef head{store.arena(), store.dir().read(*slot).current()};
+
+    const std::uint64_t loads_before = store.arena().stats().cpu_loads;
+    bool done = false;
+    const auto start = std::chrono::steady_clock::now();
+    sim.spawn([](stores::KvClient& c, Bytes k, kv::ObjectRef obj,
+                 std::size_t n, bool* flag) -> sim::Task<void> {
+      for (std::size_t i = 0; i < n; ++i) {
+        obj.set_durable(kKeyLen, kValueLen, false);
+        const Expected<Bytes> value = co_await c.get(k);
+        EFAC_CHECK(value.has_value());
+      }
+      *flag = true;
+    }(client, key, head, locates, &done));
+    while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
+    const double secs = wall_seconds(start);
+    const double ns_per_locate =
+        secs * 1e9 / static_cast<double>(locates);
+    const double loads_per_locate =
+        static_cast<double>(store.arena().stats().cpu_loads - loads_before) /
+        static_cast<double>(locates);
+
+    state.SetIterationTime(secs);
+    state.counters["ns_per_locate"] = ns_per_locate;
+    state.counters["arena_loads_per_locate"] = loads_per_locate;
+    Summary::instance().add("Engine — RPC locate, 32-version chain",
+                            "eFactory", "host ns/locate", ns_per_locate, 0);
+    Summary::instance().add("Engine — RPC locate, 32-version chain",
+                            "eFactory", "arena loads/locate",
+                            loads_per_locate, 1);
+    metrics::MetricsRegistry& sink = metrics_sink();
+    sink.gauge("engine/locate_chain/host_ns_per_locate").set(ns_per_locate);
+    sink.gauge("engine/locate_chain/arena_loads_per_locate")
+        .set(loads_per_locate);
+  }
+}
+
 const int registrar = [] {
   benchmark::RegisterBenchmark("engine/scheduler/coroutine_churn",
                                coroutine_churn)
@@ -220,6 +300,10 @@ const int registrar = [] {
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::RegisterBenchmark("engine/fig9_style", fig9_style)
+      ->Iterations(1)
+      ->UseManualTime()
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("engine/locate_chain", locate_chain)
       ->Iterations(1)
       ->UseManualTime()
       ->Unit(benchmark::kMillisecond);
