@@ -41,78 +41,63 @@ workload::RunResult run_with(const workload::RunOptions& options,
 
 // ---- A: receive-region batching ----------------------------------------
 
-void recv_mode_ablation(benchmark::State& state, bool batched) {
+void recv_mode_ablation(bool batched) {
   const workload::RunOptions options = base_options(Mix::kUpdateOnly);
-  for (auto _ : state) {
-    stores::StoreConfig config = workload::sized_store_config(options);
-    // EFactoryStore forces batched mode; to ablate, override the batched
-    // cost with the single-recv figure.
-    if (!batched) {
-      config.cpu.recv_handling_batched_ns = config.cpu.recv_handling_ns;
-    }
-    const workload::RunResult result = run_with(
-        options, config,
-        batched ? "ablation/recv/batched/" : "ablation/recv/single/");
-    state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    state.counters["Mops"] = result.mops;
-    Summary::instance().add(
-        "Ablation A — receive regions (update-only, 1KB, 8 clients)",
-        batched ? "multiple recv regions (eFactory)" : "single recv posting",
-        "Mops", result.mops, 3);
+  stores::StoreConfig config = workload::sized_store_config(options);
+  // EFactoryStore forces batched mode; to ablate, override the batched
+  // cost with the single-recv figure.
+  if (!batched) {
+    config.cpu.recv_handling_batched_ns = config.cpu.recv_handling_ns;
   }
+  const workload::RunResult result = run_with(
+      options, config,
+      batched ? "ablation/recv/batched/" : "ablation/recv/single/");
+  Summary::instance().add(
+      "Ablation A — receive regions (update-only, 1KB, 8 clients)",
+      batched ? "multiple recv regions (eFactory)" : "single recv posting",
+      "Mops", result.mops, 3);
 }
 
 // ---- B: background-thread cadence ---------------------------------------
 
-void bg_cadence_ablation(benchmark::State& state, SimDuration period_ns) {
+void bg_cadence_ablation(SimDuration period_ns) {
   const workload::RunOptions options = base_options(Mix::kWriteIntensive);
-  for (auto _ : state) {
-    stores::StoreConfig config = workload::sized_store_config(options);
-    config.bg_idle_ns = period_ns;
-    config.bg_retry_ns = period_ns;
-    const workload::RunResult result = run_with(
-        options, config,
-        "ablation/bg_cadence/" + std::to_string(period_ns / 1000) + "us/");
-    state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    const double pure_pct =
-        result.client_stats.gets == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(result.client_stats.gets_pure_rdma) /
-                  static_cast<double>(result.client_stats.gets);
-    state.counters["pure_read_pct"] = pure_pct;
-    state.counters["Mops"] = result.mops;
-    const std::string row =
-        std::to_string(period_ns / 1000) + "us cadence";
-    const std::string table =
-        "Ablation B — background cadence vs durability-flag hits "
-        "(write-intensive, 1KB)";
-    Summary::instance().add(table, row, "pure-RDMA reads %", pure_pct, 1);
-    Summary::instance().add(table, row, "Mops", result.mops, 3);
-  }
+  stores::StoreConfig config = workload::sized_store_config(options);
+  config.bg_idle_ns = period_ns;
+  config.bg_retry_ns = period_ns;
+  const workload::RunResult result = run_with(
+      options, config,
+      "ablation/bg_cadence/" + std::to_string(period_ns / 1000) + "us/");
+  const double pure_pct =
+      result.client_stats.gets == 0
+          ? 0.0
+          : 100.0 * static_cast<double>(result.client_stats.gets_pure_rdma) /
+                static_cast<double>(result.client_stats.gets);
+  const std::string row = std::to_string(period_ns / 1000) + "us cadence";
+  const std::string table =
+      "Ablation B — background cadence vs durability-flag hits "
+      "(write-intensive, 1KB)";
+  Summary::instance().add(table, row, "pure-RDMA reads %", pure_pct, 1);
+  Summary::instance().add(table, row, "Mops", result.mops, 3);
 }
 
 // ---- C: server worker count ---------------------------------------------
 
-void worker_ablation(benchmark::State& state, SystemKind kind,
-                     std::size_t workers) {
+void worker_ablation(SystemKind kind, std::size_t workers) {
   const workload::RunOptions options = base_options(Mix::kUpdateOnly);
-  for (auto _ : state) {
-    stores::StoreConfig config = workload::sized_store_config(options);
-    config.server_workers = workers;
-    stores::World world{kind, config};
-    const workload::RunResult result =
-        workload::run_workload(world.sim, world.cluster, options);
-    metrics_sink().merge_from(
-        result.metrics, "ablation/workers/" +
-                            std::string{stores::to_string(kind)} + "/" +
-                            std::to_string(workers) + "/");
-    state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    state.counters["Mops"] = result.mops;
-    Summary::instance().add(
-        "Ablation C — server workers vs update-only throughput (Mops)",
-        std::string{stores::to_string(kind)}, std::to_string(workers),
-        result.mops, 3);
-  }
+  stores::StoreConfig config = workload::sized_store_config(options);
+  config.server_workers = workers;
+  stores::World world{kind, config};
+  const workload::RunResult result =
+      workload::run_workload(world.sim, world.cluster, options);
+  metrics_sink().merge_from(
+      result.metrics, "ablation/workers/" +
+                          std::string{stores::to_string(kind)} + "/" +
+                          std::to_string(workers) + "/");
+  Summary::instance().add(
+      "Ablation C — server workers vs update-only throughput (Mops)",
+      std::string{stores::to_string(kind)}, std::to_string(workers),
+      result.mops, 3);
 }
 
 // ---- D: CRC speed vs the hybrid read's value ----------------------------
@@ -128,82 +113,56 @@ void worker_ablation(benchmark::State& state, SystemKind kind,
 // no verifier speed can close. The wasted optimistic reads on those
 // misses are what the w/o-hr variant avoids.
 
-void crc_speed_ablation(benchmark::State& state, double per_byte_ns) {
+void crc_speed_ablation(double per_byte_ns) {
   workload::RunOptions options = base_options(Mix::kWriteIntensive);
   options.workload.value_len = 4096;
-  for (auto _ : state) {
-    auto run_variant = [&](stores::SystemKind kind) {
-      stores::StoreConfig config = workload::sized_store_config(options);
-      config.crc.per_byte_ns = per_byte_ns;
-      stores::World world{kind, config};
-      workload::RunResult r =
-          workload::run_workload(world.sim, world.cluster, options);
-      metrics_sink().merge_from(
-          r.metrics, "ablation/crc_rate/" + TextTable::num(per_byte_ns, 2) +
-                         "/" + std::string{stores::to_string(kind)} + "/");
-      return r;
-    };
-    const workload::RunResult with_hr =
-        run_variant(stores::SystemKind::kEFactory);
-    const workload::RunResult without_hr =
-        run_variant(stores::SystemKind::kEFactoryNoHr);
-    state.SetIterationTime(
-        static_cast<double>(with_hr.span_ns + without_hr.span_ns) * 1e-9);
-    const double gain_pct =
-        100.0 * (with_hr.mops - without_hr.mops) / without_hr.mops;
-    const double pure_pct =
-        with_hr.client_stats.gets == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(with_hr.client_stats.gets_pure_rdma) /
-                  static_cast<double>(with_hr.client_stats.gets);
-    state.counters["hybrid_gain_pct"] = gain_pct;
-    const std::string row = TextTable::num(per_byte_ns, 2) + " ns/B";
-    const std::string table =
-        "Ablation D — CRC rate vs hybrid-read gain (write-intensive, 4KB)";
-    Summary::instance().add(table, row, "eFactory Mops", with_hr.mops, 3);
-    Summary::instance().add(table, row, "w/o hr Mops", without_hr.mops, 3);
-    Summary::instance().add(table, row, "hybrid gain %", gain_pct, 1);
-    Summary::instance().add(table, row, "pure reads %", pure_pct, 1);
-  }
+  auto run_variant = [&](stores::SystemKind kind) {
+    stores::StoreConfig config = workload::sized_store_config(options);
+    config.crc.per_byte_ns = per_byte_ns;
+    stores::World world{kind, config};
+    workload::RunResult r =
+        workload::run_workload(world.sim, world.cluster, options);
+    metrics_sink().merge_from(
+        r.metrics, "ablation/crc_rate/" + TextTable::num(per_byte_ns, 2) +
+                       "/" + std::string{stores::to_string(kind)} + "/");
+    return r;
+  };
+  const workload::RunResult with_hr =
+      run_variant(stores::SystemKind::kEFactory);
+  const workload::RunResult without_hr =
+      run_variant(stores::SystemKind::kEFactoryNoHr);
+  const double gain_pct =
+      100.0 * (with_hr.mops - without_hr.mops) / without_hr.mops;
+  const double pure_pct =
+      with_hr.client_stats.gets == 0
+          ? 0.0
+          : 100.0 * static_cast<double>(with_hr.client_stats.gets_pure_rdma) /
+                static_cast<double>(with_hr.client_stats.gets);
+  const std::string row = TextTable::num(per_byte_ns, 2) + " ns/B";
+  const std::string table =
+      "Ablation D — CRC rate vs hybrid-read gain (write-intensive, 4KB)";
+  Summary::instance().add(table, row, "eFactory Mops", with_hr.mops, 3);
+  Summary::instance().add(table, row, "w/o hr Mops", without_hr.mops, 3);
+  Summary::instance().add(table, row, "hybrid gain %", gain_pct, 1);
+  Summary::instance().add(table, row, "pure reads %", pure_pct, 1);
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const double rate : {1.05, 0.5, 0.2, 0.05}) {
-    std::string name = "ablation/crc_rate/";
-    name += TextTable::num(rate, 2);
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [rate](benchmark::State& state) {
-                                   crc_speed_ablation(state, rate);
-                                 })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
+    points.push_back({"ablation/crc_rate/" + TextTable::num(rate, 2),
+                      [rate] { crc_speed_ablation(rate); }});
   }
   for (const bool batched : {true, false}) {
-    std::string name = "ablation/recv_mode/";
-    name += batched ? "batched" : "single";
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [batched](benchmark::State& state) {
-                                   recv_mode_ablation(state, batched);
-                                 })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
+    points.push_back(
+        {std::string{"ablation/recv_mode/"} + (batched ? "batched" : "single"),
+         [batched] { recv_mode_ablation(batched); }});
   }
   for (const SimDuration period :
        {1ull * timeconst::kMicrosecond, 3ull * timeconst::kMicrosecond,
         10ull * timeconst::kMicrosecond, 50ull * timeconst::kMicrosecond}) {
-    std::string name = "ablation/bg_cadence/";
-    name += std::to_string(period / 1000);
-    name += "us";
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [period](benchmark::State& state) {
-                                   bg_cadence_ablation(state, period);
-                                 })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
+    points.push_back(
+        {"ablation/bg_cadence/" + std::to_string(period / 1000) + "us",
+         [period] { bg_cadence_ablation(period); }});
   }
   for (const SystemKind kind :
        {SystemKind::kEFactory, SystemKind::kImm, SystemKind::kForca}) {
@@ -212,20 +171,17 @@ const int registrar = [] {
       name += stores::to_string(kind);
       name += "/";
       name += std::to_string(workers);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, workers](benchmark::State& state) {
-            worker_ablation(state, kind, workers);
-          })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({name, [kind, workers] {
+                          worker_ablation(kind, workers);
+                        }});
     }
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "ablation"); }
+int main(int argc, char** argv) {
+  return efac::bench::bench_main(argc, argv, "ablation",
+                                 efac::bench::add_points);
+}

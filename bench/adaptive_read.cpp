@@ -20,8 +20,6 @@
 // metrics land in metrics_sink() under "adaptive/<mix>/<size>/<variant>/"
 // (including the read.adaptive.* counters for the adaptive variant), and
 // bench_main() exports the sink to BENCH_adaptive.json.
-#include <cstring>
-
 #include "bench_common.hpp"
 
 namespace efac::bench {
@@ -53,8 +51,6 @@ const std::vector<Mix>& mixes() {
   return kMixes;
 }
 
-// Evaluated inside the benchmark body (g_smoke is set by main, after the
-// static registrar has run, so the sweep depth must be a runtime choice).
 std::vector<std::size_t> sizes() {
   if (g_smoke) return {1024, 4096};
   return value_sizes();
@@ -69,81 +65,59 @@ std::string mix_table(Mix mix) {
   return name + " (Mops/s, 8 clients)";
 }
 
-void sweep(benchmark::State& state, const Variant& variant, Mix mix) {
+void sweep(const Variant& variant, Mix mix) {
   stores::ClientOptions client;
   client.adaptive.enabled = variant.adaptive;
-  for (auto _ : state) {
-    double total_secs = 0.0;
-    for (const std::size_t value_len : sizes()) {
-      double mops_sum = 0.0;
-      double mean_us_sum = 0.0;
-      workload::RunResult first;
-      for (int r = 0; r < runs(); ++r) {
-        workload::RunResult result = throughput_run(
-            variant.kind, mix, value_len, kClients, ops_per_client(), 1024,
-            0xF9 + static_cast<std::uint64_t>(r) * 97, client);
-        mops_sum += result.mops;
-        mean_us_sum += result.mean_latency_us();
-        total_secs += static_cast<double>(result.span_ns) * 1e-9;
-        if (r == 0) first = std::move(result);
-      }
-      const double mops = mops_sum / runs();
-      const double mean_us = mean_us_sum / runs();
-
-      std::string prefix = "adaptive/";
-      prefix += workload::to_string(mix);
-      prefix += "/";
-      prefix += size_label(value_len);
-      prefix += "/";
-      prefix += variant.name;
-      prefix += "/";
-      metrics_sink().merge_from(first.metrics, prefix);
-      // Headline gauges the acceptance check (scripts/run_all.sh, CI) and
-      // the EXPERIMENTS.md tables read directly.
-      metrics_sink().gauge(prefix + "run.mops").set(mops);
-      metrics_sink().gauge(prefix + "run.mean_us").set(mean_us);
-
-      state.counters[size_label(value_len)] = mops;
-      Summary::instance().add(mix_table(mix), variant.name,
-                              size_label(value_len), mops, 3);
+  for (const std::size_t value_len : sizes()) {
+    double mops_sum = 0.0;
+    double mean_us_sum = 0.0;
+    workload::RunResult first;
+    for (int r = 0; r < runs(); ++r) {
+      workload::RunResult result = throughput_run(
+          variant.kind, mix, value_len, kClients, ops_per_client(), 1024,
+          0xF9 + static_cast<std::uint64_t>(r) * 97, client);
+      mops_sum += result.mops;
+      mean_us_sum += result.mean_latency_us();
+      if (r == 0) first = std::move(result);
     }
-    state.SetIterationTime(total_secs);
+    const double mops = mops_sum / runs();
+    const double mean_us = mean_us_sum / runs();
+
+    std::string prefix = "adaptive/";
+    prefix += workload::to_string(mix);
+    prefix += "/";
+    prefix += size_label(value_len);
+    prefix += "/";
+    prefix += variant.name;
+    prefix += "/";
+    metrics_sink().merge_from(first.metrics, prefix);
+    // Headline gauges the acceptance check (scripts/run_all.sh, CI) and
+    // the EXPERIMENTS.md tables read directly.
+    metrics_sink().gauge(prefix + "run.mops").set(mops);
+    metrics_sink().gauge(prefix + "run.mean_us").set(mean_us);
+
+    Summary::instance().add(mix_table(mix), variant.name,
+                            size_label(value_len), mops, 3);
   }
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const Mix mix : mixes()) {
     for (const Variant& variant : kVariants) {
       std::string name = "adaptive/";
       name += workload::to_string(mix);
       name += "/";
       name += variant.name;
-      const Variant* v = &variant;
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [v, mix](benchmark::State& state) { sweep(state, *v, mix); })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({name, [&variant, mix] { sweep(variant, mix); }});
     }
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      efac::bench::g_smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int filtered_argc = static_cast<int>(args.size()) - 1;
-  return efac::bench::bench_main(filtered_argc, args.data(), "adaptive");
+  using namespace efac::bench;
+  return bench_main(argc, argv, "adaptive", add_points,
+                    {switch_flag("--smoke", &g_smoke)});
 }

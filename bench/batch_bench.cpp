@@ -18,7 +18,6 @@
 // RPC dominates small-payload PUT latency.
 //
 // `--smoke` shrinks the sweep for CI: same coverage, minimal runtime.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -55,7 +54,7 @@ std::vector<std::size_t> batch_sizes() {
 
 std::size_t total_ops() { return g_smoke ? 256 : 2048; }
 
-struct Point {
+struct BatchPoint {
   double mops = 0;
   double alloc_rpcs_per_op = 0;
   std::uint64_t server_requests = 0;
@@ -91,7 +90,8 @@ sim::Task<void> drive_batches(stores::KvClient& client,
   *done = true;
 }
 
-Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
+BatchPoint run_point(SystemKind kind, std::size_t value_len,
+                      std::size_t batch) {
   workload::RunOptions sizing;
   sizing.workload.mix = workload::Mix::kUpdateOnly;
   sizing.workload.key_count = 256;
@@ -120,7 +120,7 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   while (!done) world.sim.run_until(world.sim.now() + timeconst::kMillisecond);
   const stores::ServerStats after = world.store().server_stats();
 
-  Point p;
+  BatchPoint p;
   const double elapsed_us =
       static_cast<double>(end - start) / timeconst::kMicrosecond;
   p.mops = static_cast<double>(total_ops()) / elapsed_us;
@@ -142,68 +142,43 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   return p;
 }
 
-void batch_sweep(benchmark::State& state, SystemKind kind,
-                 std::size_t value_len) {
-  for (auto _ : state) {
-    double total_secs = 0;
-    double base_mops = 0;
-    const std::string row{stores::to_string(kind)};
-    for (const std::size_t batch : batch_sizes()) {
-      const Point p = run_point(kind, value_len, batch);
-      total_secs += static_cast<double>(total_ops()) / (p.mops * 1e6);
-      if (batch == 1) base_mops = p.mops;
-      const std::string column = "B=" + std::to_string(batch);
-      Summary::instance().add(
-          "Batched PUT throughput (Mops/s) — " + size_label(value_len), row,
-          column, p.mops);
-      Summary::instance().add(
-          "Server round trips per PUT — " + size_label(value_len), row,
-          column, p.alloc_rpcs_per_op);
-      state.counters[column] = p.mops;
-      if (batch > 1 && base_mops > 0) {
-        Summary::instance().add(
-            "Speedup vs batch=1 — " + size_label(value_len), row, column,
-            p.mops / base_mops);
-      }
+void batch_sweep(SystemKind kind, std::size_t value_len) {
+  double base_mops = 0;
+  const std::string row{stores::to_string(kind)};
+  for (const std::size_t batch : batch_sizes()) {
+    const BatchPoint p = run_point(kind, value_len, batch);
+    if (batch == 1) base_mops = p.mops;
+    const std::string column = "B=" + std::to_string(batch);
+    Summary::instance().add(
+        "Batched PUT throughput (Mops/s) — " + size_label(value_len), row,
+        column, p.mops);
+    Summary::instance().add(
+        "Server round trips per PUT — " + size_label(value_len), row, column,
+        p.alloc_rpcs_per_op);
+    if (batch > 1 && base_mops > 0) {
+      Summary::instance().add("Speedup vs batch=1 — " + size_label(value_len),
+                              row, column, p.mops / base_mops);
     }
-    state.SetIterationTime(total_secs);
   }
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const SystemKind kind : batch_systems()) {
     for (const std::size_t size : {64u, 256u, 1024u, 4096u}) {
       std::string name = "batch/";
       name += stores::to_string(kind);
       name += "/";
       name += size_label(size);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, size](benchmark::State& state) {
-            batch_sweep(state, kind, size);
-          })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({name, [kind, size] { batch_sweep(kind, size); }});
     }
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      efac::bench::g_smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int filtered_argc = static_cast<int>(args.size()) - 1;
-  return efac::bench::bench_main(filtered_argc, args.data(), "batch");
+  using namespace efac::bench;
+  return bench_main(argc, argv, "batch", add_points,
+                    {switch_flag("--smoke", &g_smoke)});
 }

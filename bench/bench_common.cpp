@@ -1,5 +1,7 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -437,7 +439,17 @@ void Summary::print_all() const {
 
 namespace {
 
-/// Escape a display name for literal use inside a benchmark_filter regex.
+/// Parse a positive decimal integer; "", "0" and "12x" fail.
+bool parse_positive(std::string_view text, std::uint64_t* out) {
+  const std::string value{text};
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || parsed == 0) return false;
+  *out = parsed;
+  return true;
+}
+
+/// Escape a display name for literal use inside a --filter= regex.
 std::string regex_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
@@ -451,9 +463,9 @@ std::string regex_escape(std::string_view text) {
   return out;
 }
 
-/// Translate "--system=Erda,SAW" into a --benchmark_filter regex matching
-/// benchmark names that contain "/<display name>" followed by "/" or end
-/// (the anchor keeps "eFactory" from also selecting "eFactory w/o hr").
+/// Translate "--system=Erda,SAW" into a --filter= regex matching point
+/// names that contain "/<display name>" followed by "/" or end (the anchor
+/// keeps "eFactory" from also selecting "eFactory w/o hr").
 Expected<std::string> system_filter(std::string_view arg) {
   std::string alternatives;
   std::size_t start = 0;
@@ -474,104 +486,163 @@ Expected<std::string> system_filter(std::string_view arg) {
   return "/(" + alternatives + ")(/|$)";
 }
 
+bool parse_batch(std::string_view value) {
+  std::uint64_t parsed = 0;
+  if (!parse_positive(value, &parsed)) {
+    std::cerr << "--batch= needs a positive integer" << std::endl;
+    return false;
+  }
+  g_batch = static_cast<std::size_t>(parsed);
+  return true;
+}
+
+bool parse_trace_out(std::string_view value) {
+  g_trace_path = std::string{value};
+  if (g_trace_path.empty()) {
+    std::cerr << "--trace-out= needs a path" << std::endl;
+    return false;
+  }
+  return true;
+}
+
+bool parse_telemetry_period(std::string_view value) {
+  std::uint64_t parsed = 0;
+  if (!parse_positive(value, &parsed)) {
+    std::cerr << "--telemetry= needs a period in virtual ns" << std::endl;
+    return false;
+  }
+  g_telemetry = true;
+  g_telem_period = static_cast<SimDuration>(parsed);
+  return true;
+}
+
+bool parse_slo(std::string_view rules) {
+  // Semicolon-separated because rule text contains commas
+  // (ratio(a, b) > 0.5). --slo implies telemetry.
+  while (!rules.empty()) {
+    const std::size_t semi = std::min(rules.find(';'), rules.size());
+    const std::string_view text = rules.substr(0, semi);
+    rules.remove_prefix(std::min(semi + 1, rules.size()));
+    if (text.empty()) continue;
+    const Expected<metrics::SloRule> rule = metrics::SloRule::parse(text);
+    if (!rule) {
+      std::cerr << "bad --slo rule \"" << text
+                << "\": " << rule.status().to_string() << std::endl;
+      return false;
+    }
+    g_slo_rules.emplace_back(text);
+  }
+  if (g_slo_rules.empty()) {
+    std::cerr << "--slo= needs at least one rule" << std::endl;
+    return false;
+  }
+  g_telemetry = true;
+  return true;
+}
+
 }  // namespace
 
-int bench_main(int argc, char** argv, std::string_view figure) {
-  // Rewrite our --system= convenience flag into google-benchmark's filter
-  // and strip --trace-out= before Initialize() sees the argument list.
-  std::vector<char*> args;
-  std::string filter_arg;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    constexpr std::string_view kSystemFlag = "--system=";
-    constexpr std::string_view kTraceFlag = "--trace-out=";
-    constexpr std::string_view kBatchFlag = "--batch=";
-    constexpr std::string_view kTelemetryFlag = "--telemetry";
-    constexpr std::string_view kSloFlag = "--slo=";
-    if (arg == kTelemetryFlag || arg.rfind("--telemetry=", 0) == 0) {
-      g_telemetry = true;
-      if (arg.size() > kTelemetryFlag.size()) {
-        const std::string value{arg.substr(kTelemetryFlag.size() + 1)};
-        char* end = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(value.c_str(), &end, 10);
-        if (value.empty() || end == nullptr || *end != '\0' || parsed == 0) {
-          std::cerr << "--telemetry= needs a period in virtual ns"
-                    << std::endl;
-          return 1;
-        }
-        g_telem_period = static_cast<SimDuration>(parsed);
-      }
-      continue;
+BenchFlag switch_flag(std::string_view name, bool* on) {
+  return {name, [on](std::string_view) {
+            *on = true;
+            return true;
+          }};
+}
+
+bool parse_count_list(std::string_view arg, std::vector<std::size_t>* out) {
+  out->clear();
+  std::size_t start = 0;
+  while (start <= arg.size()) {
+    const std::size_t comma = std::min(arg.find(',', start), arg.size());
+    const std::string_view item = arg.substr(start, comma - start);
+    if (!item.empty()) {
+      std::uint64_t value = 0;
+      if (!parse_positive(item, &value)) return false;
+      out->push_back(static_cast<std::size_t>(value));
     }
-    if (arg.rfind(kSloFlag, 0) == 0) {
-      // Semicolon-separated because rule text contains commas
-      // (ratio(a, b) > 0.5). --slo implies telemetry.
-      std::string_view rules = arg.substr(kSloFlag.size());
-      while (!rules.empty()) {
-        const std::size_t semi = std::min(rules.find(';'), rules.size());
-        const std::string_view text = rules.substr(0, semi);
-        rules.remove_prefix(std::min(semi + 1, rules.size()));
-        if (text.empty()) continue;
-        const Expected<metrics::SloRule> rule = metrics::SloRule::parse(text);
-        if (!rule) {
-          std::cerr << "bad --slo rule \"" << text
-                    << "\": " << rule.status().to_string() << std::endl;
-          return 1;
-        }
-        g_slo_rules.emplace_back(text);
-      }
-      if (g_slo_rules.empty()) {
-        std::cerr << "--slo= needs at least one rule" << std::endl;
-        return 1;
-      }
-      g_telemetry = true;
-      continue;
-    }
-    if (arg.rfind(kBatchFlag, 0) == 0) {
-      const std::string value{arg.substr(kBatchFlag.size())};
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed == 0) {
-        std::cerr << "--batch= needs a positive integer" << std::endl;
-        return 1;
-      }
-      g_batch = static_cast<std::size_t>(parsed);
-      continue;
-    }
-    if (arg.rfind(kTraceFlag, 0) == 0) {
-      g_trace_path = std::string{arg.substr(kTraceFlag.size())};
-      if (g_trace_path.empty()) {
-        std::cerr << "--trace-out= needs a path" << std::endl;
-        return 1;
-      }
-      continue;
-    }
-    if (arg.rfind(kSystemFlag, 0) == 0) {
-      const Expected<std::string> filter =
-          system_filter(arg.substr(kSystemFlag.size()));
-      if (!filter) {
-        std::cerr << filter.status().to_string() << "\nvalid systems:";
-        for (const stores::SystemKind kind : stores::all_systems()) {
-          std::cerr << " \"" << stores::to_string(kind) << "\"";
-        }
-        std::cerr << std::endl;
-        return 1;
-      }
-      filter_arg = "--benchmark_filter=" + *filter;
-      args.push_back(filter_arg.data());
-    } else {
-      args.push_back(argv[i]);
-    }
+    start = comma + 1;
   }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
+  return !out->empty();
+}
+
+bool PointFilter::set_filter(std::string_view regex) {
+  try {
+    regex_ = std::regex{regex.begin(), regex.end(), std::regex::extended};
+  } catch (const std::regex_error& err) {
+    std::cerr << "bad --filter= regex \"" << regex << "\": " << err.what()
+              << std::endl;
+    return false;
+  }
+  pattern_ = std::string{regex};
+  return true;
+}
+
+bool PointFilter::set_system(std::string_view names) {
+  const Expected<std::string> regex = system_filter(names);
+  if (!regex) {
+    std::cerr << regex.status().to_string() << "\nvalid systems:";
+    for (const stores::SystemKind kind : stores::all_systems()) {
+      std::cerr << " \"" << stores::to_string(kind) << "\"";
+    }
+    std::cerr << std::endl;
+    return false;
+  }
+  return set_filter(*regex);
+}
+
+bool PointFilter::selects(std::string_view point_name) const {
+  return std::regex_search(point_name.begin(), point_name.end(), regex_);
+}
+
+int bench_main(int argc, char** argv, std::string_view figure,
+               const std::function<void(Points&)>& add_points,
+               std::vector<BenchFlag> flags) {
+  PointFilter filter;
+  flags.push_back({"--filter=", [&filter](std::string_view value) {
+                     return filter.set_filter(value);
+                   }});
+  flags.push_back({"--system=", [&filter](std::string_view value) {
+                     return filter.set_system(value);
+                   }});
+  flags.push_back({"--batch=", parse_batch});
+  flags.push_back({"--trace-out=", parse_trace_out});
+  flags.push_back(switch_flag("--telemetry", &g_telemetry));
+  flags.push_back({"--telemetry=", parse_telemetry_period});
+  flags.push_back({"--slo=", parse_slo});
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg{argv[i]};
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [arg](const BenchFlag& f) {
+          return f.name.ends_with('=') ? arg.starts_with(f.name)
+                                       : arg == f.name;
+        });
+    if (flag == flags.end()) {
+      std::cerr << argv[0] << ": error: unrecognized command-line flag: "
+                << arg << std::endl;
+      return 1;
+    }
+    // A bare switch matched whole, so its value comes out empty.
+    if (!flag->apply(arg.substr(flag->name.size()))) return 1;
+  }
+
+  Points points;
+  add_points(points);
+  std::size_t ran = 0;
+  for (const Point& point : points) {
+    if (!filter.selects(point.name)) continue;
+    const auto start = std::chrono::steady_clock::now();
+    point.run();
+    const std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - start;
+    std::cout << point.name << "  " << TextTable::num(wall.count(), 1)
+              << " ms" << std::endl;
+    ++ran;
+  }
+  if (ran == 0) {
+    std::cerr << "no point matches the filter \"" << filter.pattern()
+              << "\"" << std::endl;
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   Summary::instance().print_all();
 
   const std::string path = "BENCH_" + std::string{figure} + ".json";

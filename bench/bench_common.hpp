@@ -1,18 +1,18 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Every bench binary follows the same pattern: google-benchmark entries
-// (manual virtual time, one iteration per configuration) drive fresh
-// simulated clusters, and every measured number is also registered in the
-// Summary singleton, which prints paper-style tables after the benchmark
-// run so outputs can be diffed against EXPERIMENTS.md. In addition, every
+// Every bench binary follows the same pattern: it registers named points
+// (one configuration each, run once, in registration order) that drive
+// fresh simulated clusters, and every measured number is registered in
+// the Summary singleton, which prints paper-style tables after the run so
+// outputs can be diffed against EXPERIMENTS.md. In addition, every
 // measurement helper folds its run's MetricsRegistry (counters + span
 // histograms) into the process-wide metrics_sink() under a per-point
 // prefix, and bench_main() exports the sink to BENCH_<figure>.json.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <functional>
 #include <map>
+#include <regex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,8 +49,8 @@ metrics::MetricsRegistry& metrics_sink();
 /// (beside the figure's own export).
 metrics::MetricsRegistry& shard_sink();
 
-/// Batch size for the workload-runner mixes, from --batch=N (parsed and
-/// stripped by bench_main; default 1 = plain sync ops).
+/// Batch size for the workload-runner mixes, from --batch=N (parsed by
+/// bench_main; default 1 = plain sync ops).
 std::size_t batch_size();
 
 /// --trace-out=<path> support (the flag is parsed by bench_main): when
@@ -68,7 +68,7 @@ void maybe_enable_trace(stores::StoreConfig& config);
 void maybe_adopt_trace(stores::StoreBase& store, std::string label);
 
 /// --telemetry[=<period_ns>] / --slo=<rule[;rule...]> support (both parsed
-/// and stripped by bench_main; --slo implies --telemetry). When active, the
+/// by bench_main; --slo implies --telemetry). When active, the
 /// measurement helpers run their clusters with the virtual-time sampler on
 /// and adopt one labelled snapshot per run; bench_main validates and writes
 /// the combined efac.telemetry.v1 document to TELEM_<figure>.json. With
@@ -132,7 +132,7 @@ workload::RunResult sharded_throughput_point(
     std::size_t clients, std::size_t shards, std::size_t ops_per_client = 400,
     std::uint64_t key_count = 2048, int runs = 3, double zipf_theta = 0.05);
 
-/// Collects (table, row, column) -> formatted cell across benchmarks and
+/// Collects (table, row, column) -> formatted cell across points and
 /// prints every table at exit, in registration order.
 class Summary {
  public:
@@ -153,10 +153,59 @@ class Summary {
   std::map<std::string, Table> tables_;
 };
 
-/// benchmark main body shared by every bench binary: handle --system=
-/// (comma-separated SystemKind names, translated to a --benchmark_filter),
-/// run benchmarks, print the summary tables, and export metrics_sink() to
+/// One measured configuration: its name ("fig2/get_breakdown/Erda/4KB")
+/// and the body that measures it and records into Summary and the sinks.
+struct Point {
+  std::string name;
+  std::function<void()> run;
+};
+using Points = std::vector<Point>;
+
+/// A flag one bench binary takes on top of the common ones. A `name`
+/// ending in '=' takes a value ("--plan="); any other name is a bare
+/// switch ("--smoke") and `apply` gets an empty value. `apply` returns
+/// false after printing why the value is bad, and bench_main exits 1.
+struct BenchFlag {
+  std::string_view name;
+  std::function<bool(std::string_view value)> apply;
+};
+
+/// A bare switch that sets `*on`.
+BenchFlag switch_flag(std::string_view name, bool* on);
+
+/// Parse "1,2,4" into positive counts; empty/invalid lists return false.
+bool parse_count_list(std::string_view arg, std::vector<std::size_t>* out);
+
+/// Selects points by name: --filter=<regex> (POSIX extended, matched
+/// anywhere in the name) or --system=<name>[,<name>...], which compiles
+/// into "/(<display names>)(/|$)" so "eFactory" does not also select
+/// "eFactory w/o hr". Whichever flag is applied last wins.
+class PointFilter {
+ public:
+  /// Apply one --filter= value; false (after a message) on a bad regex.
+  bool set_filter(std::string_view regex);
+  /// Apply one --system= value; false (after listing the valid names) on
+  /// an unknown system.
+  bool set_system(std::string_view names);
+  [[nodiscard]] bool selects(std::string_view point_name) const;
+  [[nodiscard]] const std::string& pattern() const noexcept {
+    return pattern_;
+  }
+
+ private:
+  std::string pattern_;  // empty = every point
+  std::regex regex_{pattern_, std::regex::extended};
+};
+
+/// main() body shared by every bench binary. Parses the common flags
+/// (--filter=, --system=, --batch=, --trace-out=, --telemetry[=ns],
+/// --slo=) plus the bench's own `flags`; any other argument exits 1. Then
+/// calls `add_points`, runs the selected points in registration order
+/// (one "<name>  <host ms> ms" line each; a filter selecting none exits
+/// 1), prints the summary tables, and exports metrics_sink() to
 /// BENCH_<figure>.json in the working directory.
-int bench_main(int argc, char** argv, std::string_view figure);
+int bench_main(int argc, char** argv, std::string_view figure,
+               const std::function<void(Points&)>& add_points,
+               std::vector<BenchFlag> flags = {});
 
 }  // namespace efac::bench

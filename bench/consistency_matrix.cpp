@@ -116,29 +116,25 @@ MatrixRow run_trials(SystemKind kind) {
   return row;
 }
 
-void matrix(benchmark::State& state, SystemKind kind) {
-  for (auto _ : state) {
-    const MatrixRow row = run_trials(kind);
-    state.SetIterationTime(1e-3);  // wall-clock is irrelevant here
-    const int total = kTrials * kKeys;
-    const std::string name{stores::to_string(kind)};
-    const std::string table =
-        "Consistency matrix — crash trials (12 crashes x 8 keys, "
-        "50% eviction)";
-    Summary::instance().add(table, name, "intact %",
-                            100.0 * row.intact / total, 1);
-    Summary::instance().add(table, name, "lost %",
-                            100.0 * row.lost / total, 1);
-    Summary::instance().add(table, name, "torn %",
-                            100.0 * row.torn / total, 1);
-    Summary::instance().add(
-        table, name, "acked survived %",
-        row.acked == 0 ? 0.0 : 100.0 * row.acked_survived / row.acked, 1);
-    state.counters["torn"] = row.torn;
-  }
+void matrix(SystemKind kind) {
+  const MatrixRow row = run_trials(kind);
+  const int total = kTrials * kKeys;
+  const std::string name{stores::to_string(kind)};
+  const std::string table =
+      "Consistency matrix — crash trials (12 crashes x 8 keys, "
+      "50% eviction)";
+  Summary::instance().add(table, name, "intact %",
+                          100.0 * row.intact / total, 1);
+  Summary::instance().add(table, name, "lost %", 100.0 * row.lost / total,
+                          1);
+  Summary::instance().add(table, name, "torn %", 100.0 * row.torn / total,
+                          1);
+  Summary::instance().add(
+      table, name, "acked survived %",
+      row.acked == 0 ? 0.0 : 100.0 * row.acked_survived / row.acked, 1);
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const SystemKind kind :
        {SystemKind::kEFactory, SystemKind::kSaw, SystemKind::kImm,
         SystemKind::kRpc, SystemKind::kErda, SystemKind::kForca,
@@ -146,18 +142,14 @@ const int registrar = [] {
         SystemKind::kInPlace}) {
     std::string name = "consistency/";
     name += stores::to_string(kind);
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [kind](benchmark::State& state) {
-                                   matrix(state, kind);
-                                 })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
+    points.push_back({name, [kind] { matrix(kind); }});
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "consistency"); }
+int main(int argc, char** argv) {
+  return efac::bench::bench_main(argc, argv, "consistency",
+                                 efac::bench::add_points);
+}

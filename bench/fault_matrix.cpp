@@ -27,7 +27,6 @@
 // nonzero exit code.
 #include "bench_common.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -323,145 +322,126 @@ TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
   return tally;
 }
 
-void run_cell(benchmark::State& state, SystemKind kind,
-              const fault::FaultPlan& plan) {
+void run_cell(SystemKind kind, const fault::FaultPlan& plan) {
   const int trials = g_smoke ? 2 : 5;
-  for (auto _ : state) {
-    TrialTally total;
-    for (int trial = 0; trial < trials; ++trial) {
-      const TrialTally t = run_trial(kind, plan, trial);
-      total.intact += t.intact;
-      total.lost += t.lost;
-      total.violations += t.violations;
-      total.retries += t.retries;
-      total.giveups += t.giveups;
-      total.bg_timeouts += t.bg_timeouts;
-      total.gets_rpc_path += t.gets_rpc_path;
-      total.phase2_acked += t.phase2_acked;
-    }
-
-    // Targeted assertions: each plan must actually reach the paper
-    // mechanism it aims at (otherwise the matrix silently tests nothing).
-    const bool efactory = kind == SystemKind::kEFactory;
-    if (efactory && plan.name == "torn-write") {
-      if (total.bg_timeouts == 0) {
-        report_violation(plan, kind, -1,
-                         "torn-write plan never drove eFactory's timeout "
-                         "invalidation (bg_timeouts == 0)");
-        ++total.violations;
-      }
-      if (total.gets_rpc_path == 0) {
-        report_violation(plan, kind, -1,
-                         "torn-write plan never drove the hybrid-read RPC "
-                         "fallback (gets_rpc_path == 0)");
-        ++total.violations;
-      }
-    }
-    if (efactory && plan.name == "rpc-chaos" && total.retries == 0) {
-      report_violation(plan, kind, -1,
-                       "rpc-chaos plan never drove the retry machinery "
-                       "(client.retries == 0)");
-      ++total.violations;
-    }
-    if (efactory && plan.name == "crash-restart" &&
-        total.phase2_acked == 0) {
-      report_violation(plan, kind, -1,
-                       "crash-restart plan: no write was acked after "
-                       "restart (service did not resume)");
-      ++total.violations;
-    }
-
-    const std::string row{stores::to_string(kind)};
-    const std::string table = "Fault matrix — " + plan.name + " (" +
-                              std::to_string(trials) + " trials x " +
-                              std::to_string(kKeys) + " keys)";
-    const int total_keys = trials * kKeys;
-    Summary::instance().add(table, row, "intact %",
-                            100.0 * total.intact / total_keys, 1);
-    Summary::instance().add(table, row, "lost %",
-                            100.0 * total.lost / total_keys, 1);
-    Summary::instance().add(table, row, "violations",
-                            static_cast<double>(total.violations), 0);
-    Summary::instance().add(table, row, "retries",
-                            static_cast<double>(total.retries), 0);
-    Summary::instance().add(table, row, "giveups",
-                            static_cast<double>(total.giveups), 0);
-
-    std::string prefix = "fault/";
-    prefix += plan.name;
-    prefix += "/";
-    prefix += stores::to_string(kind);
-    prefix += "/";
-    metrics_sink().counter(prefix + "verdict.consistent") +=
-        total.violations == 0 ? 1 : 0;
-    metrics_sink().counter(prefix + "verdict.violations") +=
-        static_cast<std::uint64_t>(total.violations);
-    state.counters["violations"] = total.violations;
-    state.SetIterationTime(1e-3);  // wall-clock is irrelevant here
+  TrialTally total;
+  for (int trial = 0; trial < trials; ++trial) {
+    const TrialTally t = run_trial(kind, plan, trial);
+    total.intact += t.intact;
+    total.lost += t.lost;
+    total.violations += t.violations;
+    total.retries += t.retries;
+    total.giveups += t.giveups;
+    total.bg_timeouts += t.bg_timeouts;
+    total.gets_rpc_path += t.gets_rpc_path;
+    total.phase2_acked += t.phase2_acked;
   }
+
+  // Targeted assertions: each plan must actually reach the paper
+  // mechanism it aims at (otherwise the matrix silently tests nothing).
+  const bool efactory = kind == SystemKind::kEFactory;
+  if (efactory && plan.name == "torn-write") {
+    if (total.bg_timeouts == 0) {
+      report_violation(plan, kind, -1,
+                       "torn-write plan never drove eFactory's timeout "
+                       "invalidation (bg_timeouts == 0)");
+      ++total.violations;
+    }
+    if (total.gets_rpc_path == 0) {
+      report_violation(plan, kind, -1,
+                       "torn-write plan never drove the hybrid-read RPC "
+                       "fallback (gets_rpc_path == 0)");
+      ++total.violations;
+    }
+  }
+  if (efactory && plan.name == "rpc-chaos" && total.retries == 0) {
+    report_violation(plan, kind, -1,
+                     "rpc-chaos plan never drove the retry machinery "
+                     "(client.retries == 0)");
+    ++total.violations;
+  }
+  if (efactory && plan.name == "crash-restart" &&
+      total.phase2_acked == 0) {
+    report_violation(plan, kind, -1,
+                     "crash-restart plan: no write was acked after "
+                     "restart (service did not resume)");
+    ++total.violations;
+  }
+
+  const std::string row{stores::to_string(kind)};
+  const std::string table = "Fault matrix — " + plan.name + " (" +
+                            std::to_string(trials) + " trials x " +
+                            std::to_string(kKeys) + " keys)";
+  const int total_keys = trials * kKeys;
+  Summary::instance().add(table, row, "intact %",
+                          100.0 * total.intact / total_keys, 1);
+  Summary::instance().add(table, row, "lost %",
+                          100.0 * total.lost / total_keys, 1);
+  Summary::instance().add(table, row, "violations",
+                          static_cast<double>(total.violations), 0);
+  Summary::instance().add(table, row, "retries",
+                          static_cast<double>(total.retries), 0);
+  Summary::instance().add(table, row, "giveups",
+                          static_cast<double>(total.giveups), 0);
+
+  std::string prefix = "fault/";
+  prefix += plan.name;
+  prefix += "/";
+  prefix += stores::to_string(kind);
+  prefix += "/";
+  metrics_sink().counter(prefix + "verdict.consistent") +=
+      total.violations == 0 ? 1 : 0;
+  metrics_sink().counter(prefix + "verdict.violations") +=
+      static_cast<std::uint64_t>(total.violations);
 }
 
-void register_benches() {
+void add_points(Points& points) {
   for (const fault::FaultPlan& plan : plans_under_test()) {
     for (const SystemKind kind : stores::all_systems()) {
       std::string name = "fault/";
       name += plan.name;
       name += "/";
       name += stores::to_string(kind);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, &plan](benchmark::State& state) {
-            run_cell(state, kind, plan);
-          })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({name, [kind, &plan] { run_cell(kind, plan); }});
     }
   }
+}
+
+/// --plan=<file>: run the matrix over this one plan instead of the
+/// shipped set.
+bool load_plan(std::string_view path_arg) {
+  const std::string path{path_arg};
+  std::ifstream in{path};
+  std::stringstream text;
+  text << in.rdbuf();
+  if (!in) {
+    std::cerr << "cannot read plan file: " << path << std::endl;
+    return false;
+  }
+  Expected<fault::FaultPlan> plan = fault::FaultPlan::parse(text.str());
+  if (!plan) {
+    std::cerr << "bad plan file " << path << ": " << plan.status().to_string()
+              << std::endl;
+    return false;
+  }
+  plans_under_test() = {*std::move(plan)};
+  return true;
 }
 
 }  // namespace
 }  // namespace efac::bench
 
 int main(int argc, char** argv) {
-  // Strip --smoke / --plan=<file> before google-benchmark sees the argv.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      efac::bench::g_smoke = true;
-    } else if (std::strcmp(argv[i], "--analysis") == 0) {
-      // Run every trial under the conflict sanitizer; checker verdicts
-      // (unguarded races, durability-lint hits) count as violations.
-      efac::bench::g_analysis = true;
-    } else if (std::strncmp(argv[i], "--plan=", 7) == 0) {
-      const char* path = argv[i] + 7;
-      std::ifstream in{path};
-      std::stringstream text;
-      text << in.rdbuf();
-      if (!in) {
-        std::cerr << "cannot read plan file: " << path << std::endl;
-        return 1;
-      }
-      efac::Expected<efac::fault::FaultPlan> plan =
-          efac::fault::FaultPlan::parse(text.str());
-      if (!plan) {
-        std::cerr << "bad plan file " << path << ": "
-                  << plan.status().to_string() << std::endl;
-        return 1;
-      }
-      efac::bench::plans_under_test() = {*std::move(plan)};
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int filtered_argc = static_cast<int>(args.size()) - 1;
-  efac::bench::register_benches();
-  const int rc =
-      efac::bench::bench_main(filtered_argc, args.data(), "fault");
+  using namespace efac::bench;
+  // --analysis runs every trial under the conflict sanitizer; checker
+  // verdicts (unguarded races, durability-lint hits) count as violations.
+  const int rc = bench_main(argc, argv, "fault", add_points,
+                            {switch_flag("--smoke", &g_smoke),
+                             switch_flag("--analysis", &g_analysis),
+                             {"--plan=", load_plan}});
   if (rc != 0) return rc;
-  if (efac::bench::g_violations != 0) {
-    std::cerr << efac::bench::g_violations
+  if (g_violations != 0) {
+    std::cerr << g_violations
               << " fault-matrix violation(s); see stderr above and "
                  "BENCH_fault.json"
               << std::endl;

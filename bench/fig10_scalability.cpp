@@ -12,14 +12,13 @@
 // scale near-linearly with shard count once the single server is
 // saturated. Results land in BENCH_shard.json (schema efac.bench.v1).
 //
-// Flags (parsed here before google-benchmark sees the argument list):
+// Flags (besides the common ones bench_main parses):
 //   --clients=1,2,4,...  override the swept client counts (both families)
 //   --shards=1,4,...     override the swept shard counts
 //   --smoke              CI shape: shard family only, eFactory update-only,
-//                        shards {1,4} at 64 clients, reduced ops
+//                        shards {1,4} at 128 clients, reduced ops
 #include "bench_common.hpp"
 
-#include <cstdlib>
 #include <iostream>
 
 namespace efac::bench {
@@ -35,6 +34,7 @@ struct SweepConfig {
   std::vector<std::size_t> shard_clients{16, 64, 128, 256};
   std::vector<std::size_t> shards{1, 2, 4, 8};
   bool smoke = false;
+  bool clients_overridden = false;
 };
 
 SweepConfig& sweep() {
@@ -54,39 +54,36 @@ std::string shard_table(Mix mix) {
   return name + " — aggregate Mops/s vs clients, 2KB values";
 }
 
-void scalability(benchmark::State& state, SystemKind kind, Mix mix,
-                 std::size_t clients) {
-  for (auto _ : state) {
-    const workload::RunResult result =
-        throughput_point(kind, mix, kValueLen, clients);
-    state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    state.counters["Mops"] = result.mops;
-    Summary::instance().add(mix_table(mix),
-                            std::string{stores::to_string(kind)},
-                            std::to_string(clients), result.mops, 3);
-  }
+void scalability(SystemKind kind, Mix mix, std::size_t clients) {
+  const workload::RunResult result =
+      throughput_point(kind, mix, kValueLen, clients);
+  Summary::instance().add(mix_table(mix), std::string{stores::to_string(kind)},
+                          std::to_string(clients), result.mops, 3);
 }
 
-void shard_scalability(benchmark::State& state, SystemKind kind, Mix mix,
-                       std::size_t shards, std::size_t clients) {
+void shard_scalability(SystemKind kind, Mix mix, std::size_t shards,
+                       std::size_t clients) {
   const std::size_t ops_per_client = sweep().smoke ? 250 : 400;
   const int runs = sweep().smoke ? 2 : 3;
-  for (auto _ : state) {
-    const workload::RunResult result = sharded_throughput_point(
-        kind, mix, kValueLen, clients, shards, ops_per_client,
-        /*key_count=*/2048, runs);
-    state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    state.counters["Mops"] = result.mops;
-    std::string row{stores::to_string(kind)};
-    row += " ×";
-    row += std::to_string(shards);
-    Summary::instance().add(shard_table(mix), row, std::to_string(clients),
-                            result.mops, 3);
-  }
+  const workload::RunResult result = sharded_throughput_point(
+      kind, mix, kValueLen, clients, shards, ops_per_client,
+      /*key_count=*/2048, runs);
+  std::string row{stores::to_string(kind)};
+  row += " ×";
+  row += std::to_string(shards);
+  Summary::instance().add(shard_table(mix), row, std::to_string(clients),
+                          result.mops, 3);
 }
 
-void register_benchmarks() {
-  const SweepConfig& config = sweep();
+void add_points(Points& points) {
+  SweepConfig& config = sweep();
+  if (config.smoke && !config.clients_overridden) {
+    // CI shape: one client count past the acceptance point (≥ 64 clients
+    // — at 128 every shard of a 4-shard cluster is past its saturation
+    // knee), shards 1 vs 4 for the scaling ratio.
+    config.shard_clients = {128};
+    config.shards = {1, 4};
+  }
   if (!config.smoke) {
     for (const Mix mix : workload::all_mixes()) {
       for (const SystemKind kind : stores::throughput_systems()) {
@@ -97,14 +94,9 @@ void register_benchmarks() {
           name += stores::to_string(kind);
           name += "/clients:";
           name += std::to_string(clients);
-          benchmark::RegisterBenchmark(
-              name.c_str(),
-              [kind, mix, clients](benchmark::State& state) {
-                scalability(state, kind, mix, clients);
-              })
-              ->Iterations(1)
-              ->UseManualTime()
-              ->Unit(benchmark::kMillisecond);
+          points.push_back({name, [kind, mix, clients] {
+                              scalability(kind, mix, clients);
+                            }});
         }
       }
     }
@@ -130,90 +122,41 @@ void register_benchmarks() {
           name += std::to_string(shards);
           name += "/clients:";
           name += std::to_string(clients);
-          benchmark::RegisterBenchmark(
-              name.c_str(),
-              [kind, mix, shards, clients](benchmark::State& state) {
-                shard_scalability(state, kind, mix, shards, clients);
-              })
-              ->Iterations(1)
-              ->UseManualTime()
-              ->Unit(benchmark::kMillisecond);
+          points.push_back({name, [kind, mix, shards, clients] {
+                              shard_scalability(kind, mix, shards, clients);
+                            }});
         }
       }
     }
   }
 }
 
-/// Parse "1,2,4" into counts; empty/invalid entries fail the run.
-bool parse_count_list(std::string_view arg, std::vector<std::size_t>* out) {
-  out->clear();
-  std::size_t start = 0;
-  while (start <= arg.size()) {
-    const std::size_t comma = std::min(arg.find(',', start), arg.size());
-    const std::string item{arg.substr(start, comma - start)};
-    if (!item.empty()) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(item.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || value == 0) return false;
-      out->push_back(static_cast<std::size_t>(value));
-    }
-    start = comma + 1;
-  }
-  return !out->empty();
+/// Parse a --clients= / --shards= value into `out`.
+bool parse_counts(std::string_view flag, std::string_view value,
+                  std::vector<std::size_t>* out) {
+  if (parse_count_list(value, out)) return true;
+  std::cerr << flag << " needs a comma-separated list of positive counts"
+            << std::endl;
+  return false;
 }
 
 }  // namespace
-
-int fig10_main(int argc, char** argv) {
-  SweepConfig& config = sweep();
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  bool clients_overridden = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    constexpr std::string_view kClientsFlag = "--clients=";
-    constexpr std::string_view kShardsFlag = "--shards=";
-    if (arg == "--smoke") {
-      config.smoke = true;
-      continue;
-    }
-    if (arg.rfind(kClientsFlag, 0) == 0) {
-      if (!parse_count_list(arg.substr(kClientsFlag.size()),
-                            &config.clients)) {
-        std::cerr << "--clients= needs a comma-separated list of positive "
-                     "counts"
-                  << std::endl;
-        return 1;
-      }
-      config.shard_clients = config.clients;
-      clients_overridden = true;
-      continue;
-    }
-    if (arg.rfind(kShardsFlag, 0) == 0) {
-      if (!parse_count_list(arg.substr(kShardsFlag.size()),
-                            &config.shards)) {
-        std::cerr << "--shards= needs a comma-separated list of positive "
-                     "counts"
-                  << std::endl;
-        return 1;
-      }
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (config.smoke && !clients_overridden) {
-    // CI shape: one client count past the acceptance point (≥ 64 clients
-    // — at 128 every shard of a 4-shard cluster is past its saturation
-    // knee), shards 1 vs 4 for the scaling ratio.
-    config.shard_clients = {128};
-    config.shards = {1, 4};
-  }
-  register_benchmarks();
-  return bench_main(static_cast<int>(args.size()), args.data(), "fig10");
-}
-
 }  // namespace efac::bench
 
 int main(int argc, char** argv) {
-  return efac::bench::fig10_main(argc, argv);
+  using namespace efac::bench;
+  SweepConfig& config = sweep();
+  const auto clients = [&config](std::string_view value) {
+    if (!parse_counts("--clients=", value, &config.clients)) return false;
+    config.shard_clients = config.clients;
+    config.clients_overridden = true;
+    return true;
+  };
+  const auto shards = [&config](std::string_view value) {
+    return parse_counts("--shards=", value, &config.shards);
+  };
+  return bench_main(argc, argv, "fig10", add_points,
+                    {switch_flag("--smoke", &config.smoke),
+                     {"--clients=", clients},
+                     {"--shards=", shards}});
 }

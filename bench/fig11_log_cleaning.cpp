@@ -67,43 +67,33 @@ CleaningPoint run_point(Mix mix, bool with_cleaning) {
   return point;
 }
 
-void cleaning_bench(benchmark::State& state, Mix mix) {
-  for (auto _ : state) {
-    const CleaningPoint without = run_point(mix, false);
-    const CleaningPoint with = run_point(mix, true);
-    state.SetIterationTime((without.mean_us + with.mean_us) * 1e-6);
-    const double overhead_pct =
-        100.0 * (with.mean_us - without.mean_us) / without.mean_us;
-    state.counters["overhead_pct"] = overhead_pct;
-    state.counters["cleanings"] = static_cast<double>(with.cleanings);
+void cleaning_bench(Mix mix) {
+  const CleaningPoint without = run_point(mix, false);
+  const CleaningPoint with = run_point(mix, true);
+  const double overhead_pct =
+      100.0 * (with.mean_us - without.mean_us) / without.mean_us;
 
-    const std::string table =
-        "Fig.11 — avg op latency (us) with/without log cleaning";
-    const std::string row{workload::to_string(mix)};
-    Summary::instance().add(table, row, "w/o cleaning", without.mean_us);
-    Summary::instance().add(table, row, "w/ cleaning", with.mean_us);
-    Summary::instance().add(table, row, "overhead %", overhead_pct, 1);
-    Summary::instance().add(table, row, "rounds",
-                            static_cast<double>(with.cleanings), 0);
-  }
+  const std::string table =
+      "Fig.11 — avg op latency (us) with/without log cleaning";
+  const std::string row{workload::to_string(mix)};
+  Summary::instance().add(table, row, "w/o cleaning", without.mean_us);
+  Summary::instance().add(table, row, "w/ cleaning", with.mean_us);
+  Summary::instance().add(table, row, "overhead %", overhead_pct, 1);
+  Summary::instance().add(table, row, "rounds",
+                          static_cast<double>(with.cleanings), 0);
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const workload::Mix mix : workload::all_mixes()) {
     std::string name = "fig11/log_cleaning/";
     name += workload::to_string(mix);
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [mix](benchmark::State& state) {
-                                   cleaning_bench(state, mix);
-                                 })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
+    points.push_back({name, [mix] { cleaning_bench(mix); }});
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "fig11"); }
+int main(int argc, char** argv) {
+  return efac::bench::bench_main(argc, argv, "fig11", efac::bench::add_points);
+}

@@ -28,45 +28,32 @@ const std::vector<SystemKind>& fig1_systems() {
   return kSystems;
 }
 
-void write_latency(benchmark::State& state, SystemKind kind,
-                   std::size_t value_len) {
-  for (auto _ : state) {
-    const Histogram hist = measure_put_latency(kind, value_len);
-    state.SetIterationTime(static_cast<double>(hist.sum()) * 1e-9);
-    const double median_us =
-        static_cast<double>(hist.percentile(0.5)) / 1000.0;
-    const double p99_us = static_cast<double>(hist.percentile(0.99)) / 1000.0;
-    state.counters["median_us"] = median_us;
-    state.counters["p99_us"] = p99_us;
-    const std::string row{stores::to_string(kind)};
-    Summary::instance().add("Fig.1 — median durable-write latency (us)", row,
-                            size_label(value_len), median_us);
-    Summary::instance().add("Fig.1 — p99 durable-write latency (us)", row,
-                            size_label(value_len), p99_us);
-  }
+void write_latency(SystemKind kind, std::size_t value_len) {
+  const Histogram hist = measure_put_latency(kind, value_len);
+  const double median_us = static_cast<double>(hist.percentile(0.5)) / 1000.0;
+  const double p99_us = static_cast<double>(hist.percentile(0.99)) / 1000.0;
+  const std::string row{stores::to_string(kind)};
+  Summary::instance().add("Fig.1 — median durable-write latency (us)", row,
+                          size_label(value_len), median_us);
+  Summary::instance().add("Fig.1 — p99 durable-write latency (us)", row,
+                          size_label(value_len), p99_us);
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const SystemKind kind : fig1_systems()) {
     for (const std::size_t size : value_sizes()) {
       std::string name = "fig1/write_latency/";
       name += stores::to_string(kind);
       name += "/";
       name += size_label(size);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, size](benchmark::State& state) {
-            write_latency(state, kind, size);
-          })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({name, [kind, size] { write_latency(kind, size); }});
     }
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "fig1"); }
+int main(int argc, char** argv) {
+  return efac::bench::bench_main(argc, argv, "fig1", efac::bench::add_points);
+}

@@ -36,51 +36,38 @@ double traced_crc_us(SystemKind kind, std::size_t value_len) {
          static_cast<double>(total->count()) / 1000.0;
 }
 
-void get_breakdown(benchmark::State& state, SystemKind kind,
-                   std::size_t value_len) {
-  for (auto _ : state) {
-    const Histogram hist = measure_get_latency(kind, value_len);
-    state.SetIterationTime(static_cast<double>(hist.sum()) * 1e-9);
-    const double mean_us = hist.mean() / 1000.0;
-    const double crc_us = traced_crc_us(kind, value_len);
-    const double crc_pct = 100.0 * crc_us / mean_us;
-    state.counters["mean_us"] = mean_us;
-    state.counters["crc_us"] = crc_us;
-    state.counters["crc_pct"] = crc_pct;
+void get_breakdown(SystemKind kind, std::size_t value_len) {
+  const Histogram hist = measure_get_latency(kind, value_len);
+  const double mean_us = hist.mean() / 1000.0;
+  const double crc_us = traced_crc_us(kind, value_len);
+  const double crc_pct = 100.0 * crc_us / mean_us;
 
-    const std::string row{stores::to_string(kind)};
-    Summary::instance().add("Fig.2 — mean GET latency (us)", row,
-                            size_label(value_len), mean_us);
-    Summary::instance().add("Fig.2 — CRC time on the read path (us)", row,
-                            size_label(value_len), crc_us);
-    Summary::instance().add("Fig.2 — CRC share of read latency (%)", row,
-                            size_label(value_len), crc_pct, 1);
-    Summary::instance().add("Fig.2 — network+server share (us)", row,
-                            size_label(value_len), mean_us - crc_us);
-  }
+  const std::string row{stores::to_string(kind)};
+  Summary::instance().add("Fig.2 — mean GET latency (us)", row,
+                          size_label(value_len), mean_us);
+  Summary::instance().add("Fig.2 — CRC time on the read path (us)", row,
+                          size_label(value_len), crc_us);
+  Summary::instance().add("Fig.2 — CRC share of read latency (%)", row,
+                          size_label(value_len), crc_pct, 1);
+  Summary::instance().add("Fig.2 — network+server share (us)", row,
+                          size_label(value_len), mean_us - crc_us);
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const SystemKind kind : {SystemKind::kErda, SystemKind::kForca}) {
     for (const std::size_t size : value_sizes()) {
       std::string name = "fig2/get_breakdown/";
       name += stores::to_string(kind);
       name += "/";
       name += size_label(size);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, size](benchmark::State& state) {
-            get_breakdown(state, kind, size);
-          })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
+      points.push_back({name, [kind, size] { get_breakdown(kind, size); }});
     }
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "fig2"); }
+int main(int argc, char** argv) {
+  return efac::bench::bench_main(argc, argv, "fig2", efac::bench::add_points);
+}

@@ -29,26 +29,18 @@ std::string mix_table(Mix mix) {
   return name + " — throughput (Mops/s), 8 clients";
 }
 
-void throughput(benchmark::State& state, SystemKind kind, Mix mix,
-                std::size_t value_len) {
-  for (auto _ : state) {
-    const workload::RunResult result =
-        throughput_point(kind, mix, value_len, kClients);
-    state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    state.counters["Mops"] = result.mops;
-    state.counters["mean_us"] = result.mean_latency_us();
-    Summary::instance().add(mix_table(mix),
-                            std::string{stores::to_string(kind)},
-                            size_label(value_len), result.mops, 3);
-    Summary::instance().add(
-        "Fig.9 companion — mean op latency (us), " +
-            std::string{workload::to_string(mix)},
-        std::string{stores::to_string(kind)}, size_label(value_len),
-        result.mean_latency_us());
-  }
+void throughput(SystemKind kind, Mix mix, std::size_t value_len) {
+  const workload::RunResult result =
+      throughput_point(kind, mix, value_len, kClients);
+  Summary::instance().add(mix_table(mix), std::string{stores::to_string(kind)},
+                          size_label(value_len), result.mops, 3);
+  Summary::instance().add("Fig.9 companion — mean op latency (us), " +
+                              std::string{workload::to_string(mix)},
+                          std::string{stores::to_string(kind)},
+                          size_label(value_len), result.mean_latency_us());
 }
 
-const int registrar = [] {
+void add_points(Points& points) {
   for (const workload::Mix mix : workload::all_mixes()) {
     for (const SystemKind kind : stores::throughput_systems()) {
       for (const std::size_t size : value_sizes()) {
@@ -58,21 +50,16 @@ const int registrar = [] {
         name += stores::to_string(kind);
         name += "/";
         name += size_label(size);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [kind, mix, size](benchmark::State& state) {
-              throughput(state, kind, mix, size);
-            })
-            ->Iterations(1)
-            ->UseManualTime()
-            ->Unit(benchmark::kMillisecond);
+        points.push_back(
+            {name, [kind, mix, size] { throughput(kind, mix, size); }});
       }
     }
   }
-  return 0;
-}();
+}
 
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "fig9"); }
+int main(int argc, char** argv) {
+  return efac::bench::bench_main(argc, argv, "fig9", efac::bench::add_points);
+}

@@ -12,9 +12,11 @@ Gated metrics, per figure document (schema efac.bench.v1):
 
   * histogram p50 / p99   — latency-like, lower is better; a regression is
                             current > baseline * (1 + tolerance)
-  * run.mops / run.put_mops gauges
+  * run.mops / run.put_mops and <...>/mops gauges
                           — throughput, higher is better; a regression is
-                            current < baseline * (1 - tolerance)
+                            current < baseline * (1 - tolerance). The
+                            "/mops" suffix covers batch_bench's
+                            batch/<system>/<size>/B<n>/mops gauges.
 
 Everything else (counters, other gauges, the remaining histogram fields)
 is reported in the delta report but never gates: counters move whenever a
@@ -37,11 +39,13 @@ import sys
 # exports; compare it when both sides have it.
 HIST_GATED = ("p50", "p95", "p99")
 # Gauge suffixes that gate (higher is better).
-THROUGHPUT_SUFFIXES = ("run.mops", "run.put_mops")
+THROUGHPUT_SUFFIXES = ("run.mops", "run.put_mops", "/mops")
 # Wall-clock figures are machine-dependent; never gate them.
 EXCLUDED_FILES = {"BENCH_engine.json"}
 # Ignore relative drift on latencies below this floor (ns): a 1ns step on
-# a 30ns CRC span is a 3% "regression" with no physical meaning.
+# a 30ns CRC span is a 3% "regression" with no physical meaning. Applies
+# only with a non-zero tolerance: --tolerance 0 is an exact gate, so any
+# rise fails.
 ABS_FLOOR_NS = 20.0
 
 
@@ -77,6 +81,7 @@ class Comparison:
         if higher_better:
             bad = cur < base * (1.0 - tolerance)
         else:
+            floor = floor if tolerance > 0 else 0.0
             bad = cur > base * (1.0 + tolerance) and cur - base > floor
         marker = "  REGRESSION" if bad else ""
         self.note(f"  {name}: {base:g} -> {cur:g} ({fmt_delta(base, cur)})"

@@ -43,6 +43,7 @@ for b in build/bench/*; do
   case "$name" in
     bench_json_check) continue ;;  # validator CLI, needs a file argument
     trace_inspect) continue ;;     # inspector CLI, runs after the benches
+    bench_common_test) continue ;; # gtest binary, already run by ctest
     fig2_get_breakdown)
       # Also produce a flight-recorder export and a telemetry timeline
       # (both validated below).
@@ -62,9 +63,12 @@ for b in build/bench/*; do
       # the adaptive-vs-plain-vs-no-hr comparison.
       [ "$SMOKE" -eq 1 ] && args+=(--smoke) ;;
     ablation_efactory)
-      [ "$SMOKE" -eq 1 ] && args+=("--benchmark_filter=crc_rate/1.05") ;;
+      [ "$SMOKE" -eq 1 ] && args+=("--filter=crc_rate/1.05") ;;
     fig11_log_cleaning)
-      [ "$SMOKE" -eq 1 ] && args+=("--benchmark_filter=update-only") ;;
+      [ "$SMOKE" -eq 1 ] && args+=("--filter=update-only") ;;
+    fig1_write_latency)
+      # Fig. 1 has no Erda row; a filter that selects no point is an error.
+      [ "$SMOKE" -eq 1 ] && args+=(--system=eFactory) ;;
     *)
       [ "$SMOKE" -eq 1 ] && args+=("--system=Erda") ;;
   esac

@@ -71,9 +71,4 @@ void MetricsRegistry::reset() {
   for (NamedHistogram& h : histograms_) h.cell.reset();
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry instance;
-  return instance;
-}
-
 }  // namespace efac::metrics

@@ -94,8 +94,7 @@ struct ClientOptions {
   /// Retry/backoff behaviour of the public operations. The default
   /// (single attempt, no RPC timeout) is a pass-through.
   RetryPolicy retry;
-  /// Object geometry for one-sided reads (replaces the deprecated
-  /// set_size_hint() setter).
+  /// Object geometry for one-sided reads.
   SizeHint size_hint;
   /// Upper bound on concurrently in-flight async operations (put_async /
   /// get_async / del_async and the pipelined batch paths). Submissions
@@ -351,13 +350,6 @@ class KvClient {
 
   // ---- configuration / wiring -------------------------------------------
 
-  /// DEPRECATED: pass the geometry in ClientOptions::size_hint instead.
-  /// Shim kept for one release so out-of-tree callers keep compiling.
-  void set_size_hint(std::size_t klen, std::size_t vlen) {
-    klen_hint_ = klen;
-    vlen_hint_ = vlen;
-  }
-
   /// Virtual so routing wrappers (ShardedKvClient) can aggregate their
   /// per-shard protocol clients into one view.
   [[nodiscard]] virtual ClientStats stats() const noexcept {
@@ -392,9 +384,21 @@ class KvClient {
   /// Wire this client to the cluster's cross-cutting subsystems. Call
   /// once, before issuing operations; a client never attached runs as the
   /// untracked external actor with recording off.
+  ///
+  /// The checker registers this client as its own clock domain with the
+  /// conflict sanitizer. The trace log makes it a flight-recorder track
+  /// (tracks are named in attach order, which is deterministic); with a
+  /// null log every emission the client ever makes stays a single branch.
+  /// The recorder runs op-scoped so overlapping async ops attribute their
+  /// events to the op whose coroutine is actually running.
   void attach(const ClusterWiring& wiring) {
-    attach_checker(wiring.checker);
-    attach_recorder(wiring.trace_log);
+    checker_ = wiring.checker;
+    if (checker_ != nullptr) actor_id_ = checker_->register_client_actor();
+    if (trace::EventLog* log = wiring.trace_log; log != nullptr) {
+      recorder_.attach(log,
+                       "client-" + std::to_string(log->tracks().size()));
+      recorder_.op_scoped = true;
+    }
     attach_telemetry(wiring.telemetry);
   }
 
@@ -424,30 +428,9 @@ class KvClient {
     });
   }
 
-  /// DEPRECATED: use attach(ClusterWiring) — kept as a shim for one
-  /// release. Registers this client as its own clock domain with the
-  /// cluster's conflict sanitizer.
-  void attach_checker(analysis::Checker* checker) {
-    checker_ = checker;
-    if (checker_ != nullptr) actor_id_ = checker_->register_client_actor();
-  }
-
   /// This client's sanitizer handle (nullptr when analysis is off).
   [[nodiscard]] analysis::Checker* checker() const noexcept {
     return checker_;
-  }
-
-  /// DEPRECATED: use attach(ClusterWiring) — kept as a shim for one
-  /// release. Registers this client as a flight-recorder track (tracks
-  /// are named in attach order, which is deterministic). With a null log
-  /// every emission the client ever makes stays a single branch. The
-  /// recorder runs op-scoped so overlapping async ops attribute their
-  /// events to the op whose coroutine is actually running.
-  void attach_recorder(trace::EventLog* log) {
-    if (log == nullptr) return;
-    recorder_.attach(log,
-                     "client-" + std::to_string(log->tracks().size()));
-    recorder_.op_scoped = true;
   }
 
  protected:
